@@ -175,7 +175,7 @@ def _flip_payload(config, flips_with_certs):
     return {"points": ser.points_to_json(config.points), "flips": entries}
 
 
-def _load_pair(args, geom):
+def _load_pair(args):
     doc = _read_json(args.infile)
     t1 = ser.triangulation_from_json(doc["first"])
     t2 = ser.triangulation_from_json(doc["second"])
@@ -184,7 +184,7 @@ def _load_pair(args, geom):
 
 def cmd_flip_path(args) -> int:
     geom = _facet_config(args)
-    t1, t2 = _load_pair(args, geom)
+    t1, t2 = _load_pair(args)
     try:
         path = pt.flip_path(geom.config, t1, t2, budget=args.budget_nodes)
     except BudgetExceeded as exc:
@@ -210,7 +210,7 @@ def cmd_flip_path(args) -> int:
 
 def cmd_flip_verify(args) -> int:
     geom = _facet_config(args)
-    t1, t2 = _load_pair(args, geom)
+    t1, t2 = _load_pair(args)
     try:
         path = pt.flip_path(geom.config, t1, t2, budget=args.budget_nodes)
     except BudgetExceeded as exc:
@@ -437,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     ra.add_argument("--seed", type=int, default=0)
     ra.add_argument("--budget-nodes", type=int, default=10000)
     ra.add_argument("--skip", help="comma-separated criterion numbers to skip")
-    ra.add_argument("--cone-vertex", help="fixed cone vector for error-term chains")
     ra.set_defaults(fn=cmd_repro_all)
 
     return p

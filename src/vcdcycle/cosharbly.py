@@ -11,11 +11,11 @@ alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional, Sequence
 
 from .exactq import (
     Q,
+    _rank_from_veclen,
     as_q,
     det,
     int_rank,
@@ -23,26 +23,6 @@ from .exactq import (
     vec_trace,
 )
 from .sharbly import BasicSharbly
-
-
-def _rank_from_veclen(d: int) -> int:
-    n = (isqrt(8 * d + 1) - 1) // 2
-    if n * (n + 1) // 2 != d:
-        raise ValueError("not a symmetric-matrix coordinate vector")
-    return n
-
-
-@dataclass(frozen=True)
-class OrientedSectionSimplex:
-    """Ordered trace-1 section points (upper-triangle coordinates)."""
-
-    points: tuple[tuple[Q, ...], ...]
-
-    @property
-    def proper(self) -> bool:
-        from .exactq import affine_dim
-
-        return affine_dim(self.points) == len(self.points) - 1
 
 
 def epsilon(points: Sequence[Sequence], n: Optional[int] = None) -> int:
@@ -133,22 +113,3 @@ def mu_sign_certificate(z) -> PositivityCertificate:
             ok = False
     valid = ok and proper_positive >= 1
     return PositivityCertificate(tuple(verdicts), valid)
-
-
-def euclidean_volume_section(simplex: OrientedSectionSimplex) -> Q:
-    """Squared Euclidean volume of a proper section simplex.
-
-    The square keeps the value rational; degenerate input is an error.
-    """
-    pts = simplex.points
-    k = len(pts) - 1
-    base = pts[0]
-    edges = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    g = det(gram)
-    if g == 0:
-        raise ValueError("degenerate section simplex")
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return g / (fact * fact)

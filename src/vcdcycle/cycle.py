@@ -55,9 +55,6 @@ class CycleChain:
     coin: dict[OrbitClass, Q]
     stabilizer_orders: dict[str, int]
 
-    def coefficients(self) -> dict[BasicSharbly, Q]:
-        return {cls.rep: c for cls, c in self.coin.items()}
-
 
 SUPPORTED_RANKS = (2, 3, 4)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .exactq import int_rank
+from .exactq import int_adjugate, int_det, int_rank
 
 
 def _reduce(v: list[int]) -> tuple[int, ...]:
@@ -44,20 +44,10 @@ def _solve_initial_rays(rows: Sequence[Sequence[int]], idx: list[int]) -> list[t
     These are the columns of the adjugate of the chosen square subsystem,
     up to the sign of its determinant.
     """
-    from .exactq import int_det
-
-    d = len(idx)
     a = [list(rows[i]) for i in idx]
-    det = int_det(a)
-    sign = 1 if det > 0 else -1
-    rays = []
-    for j in range(d):
-        col = []
-        for k in range(d):
-            minor = [row[:k] + row[k + 1 :] for r, row in enumerate(a) if r != j]
-            col.append(sign * (-1) ** (j + k) * int_det(minor))
-        rays.append(_reduce(col))
-    return rays
+    sign = 1 if int_det(a) > 0 else -1
+    adj = int_adjugate(a)
+    return [_reduce([sign * row[j] for row in adj]) for j in range(len(a))]
 
 
 def extreme_rays(constraints: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:

@@ -10,9 +10,8 @@ intermediate coefficient growth polynomial at the sizes we care about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -39,68 +38,6 @@ def q_parse(s) -> Q:
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable dense matrix over Q, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Q, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
-        rows = [vec_q(r) for r in rows]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        cols = len(rows[0]) if rows else 0
-        return ExactMatrix(len(rows), cols, tuple(x for r in rows for x in r))
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[Vector]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[self.entries[i * self.cols + j] for i in range(self.rows)]
-             for j in range(self.cols)]
-        )
-
-    def mat_vec(self, v: Sequence) -> Vector:
-        v = vec_q(v)
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Q(0))
-                     for r in self.row_list())
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()
-        return ExactMatrix.from_rows(
-            [[dot(r, c) for c in ot.row_list()] for r in self.row_list()]
-        )
-
-
-def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +98,19 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def int_adjugate(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Adjugate of a square integer matrix: adj(a) a = a adj(a) = det(a) I."""
+    n = len(a)
+    if n == 1:
+        return [[1]]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
+            out[j][i] = (-1) ** (i + j) * int_det(minor)
+    return out
+
+
 def _row_reduce_content(row: list[int]) -> list[int]:
     g = 0
     for x in row:
@@ -213,19 +163,11 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _coerce_rows(m) -> list[list[Q]]:
-    if isinstance(m, ExactMatrix):
-        return [list(r) for r in m.row_list()]
     return [[as_q(x) for x in r] for r in m]
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def rank(m) -> int:
-    """Row rank over Q."""
-    rows = _coerce_rows(m)
-    return int_rank(int_rows(rows)) if rows else 0
 
 
 def det(m) -> Q:
@@ -352,8 +294,12 @@ def primitive_normalize(v: Sequence) -> IntVector:
 # forms: upper triangle, row-major)
 
 
-def sym_index(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def _rank_from_veclen(d: int) -> int:
+    """The n with n (n + 1) / 2 = d upper-triangle coordinates."""
+    n = (isqrt(8 * d + 1) - 1) // 2
+    if n * (n + 1) // 2 != d:
+        raise ValueError("not a symmetric-matrix coordinate vector")
+    return n
 
 
 def rank1_vec(v: Sequence[int]) -> IntVector:
@@ -424,13 +370,7 @@ def mat_vec_int(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
 
 def int_matrix_inverse(a: Sequence[Sequence[int]]) -> tuple:
     """Inverse of an integer matrix with determinant +-1."""
-    n = len(a)
     d = int_det(a)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    aug = [[Q(x) for x in row] + [Q(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in red)
+    return tuple(tuple(d * x for x in row) for row in int_adjugate(a))

@@ -66,12 +66,6 @@ class Circuit:
     negative_part: frozenset
     dependence: tuple[tuple[int, int], ...]  # (label, integer coefficient)
 
-    def coefficient(self, label: int) -> int:
-        for l, c in self.dependence:
-            if l == label:
-                return c
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class Flip:
@@ -243,14 +237,10 @@ def placing_triangulation(
     return result, witness
 
 
-def _hull_volume_scaled(config: PointConfiguration) -> int:
-    tri = placing_triangulation(config, return_witness=False)
-    return sum(abs(_simplex_det(config, s)) for s in tri)
-
-
 def hull_volume_scaled(config: PointConfiguration) -> int:
     """Hull volume times m! in the configuration's integer scale."""
-    return _hull_volume_scaled(config)
+    tri = placing_triangulation(config, return_witness=False)
+    return sum(abs(_simplex_det(config, s)) for s in tri)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +291,7 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
         if d == 0:
             return False
         dets[s] = abs(d)
-    if sum(dets.values()) != _hull_volume_scaled(config):
+    if sum(dets.values()) != hull_volume_scaled(config):
         return False
     pts = _int_points(config)
     tri_list = sorted(tri, key=sorted)
@@ -398,9 +388,7 @@ def lift_triangulation(config: PointConfiguration, heights) -> Triangulation:
             raise DegenerateConfiguration("heights are not generic")
         tri.add(frozenset(tight))
     result = frozenset(tri)
-    if sum(abs(_simplex_det(config, s)) for s in result) != _hull_volume_scaled(
-        config
-    ):
+    if sum(abs(_simplex_det(config, s)) for s in result) != hull_volume_scaled(config):
         raise DegenerateConfiguration("heights are not generic")
     return result
 

@@ -203,13 +203,7 @@ def criterion_5(budget: int = 10000) -> dict:
         frozenset(frozenset(s) for s in data.D5_F_T_PLUS_LOCAL),
         frozenset(frozenset(s) for s in data.D5_F_T_MINUS_LOCAL),
     }
-    removed_core = frozenset(
-        frozenset(path[0].circuit.labels - {w}) for w in path[0].removed_part
-    ) if one_flip else None
-    inserted_core = frozenset(
-        frozenset(path[0].circuit.labels - {w}) for w in path[0].inserted_part
-    ) if one_flip else None
-    sides_ok = one_flip and {removed_core, inserted_core} == sides
+    sides_ok = one_flip and set(pt.gkz_two_triangulations(path[0].circuit)) == sides
     identity = one_flip and pt.verify_flip_identity(geom.config, path[0]).valid
     applied = one_flip and pt.apply_flip(geom.config, t1, path[0]) == t2
     return {
@@ -423,17 +417,23 @@ CRITERIA = {
 }
 
 
+def run_criterion(num: int, seed: int = 0, budget: int = 10000) -> dict:
+    """Criterion `num` with the arguments it takes: the search budget for
+    criterion 5, the seed for the randomized criteria 6 and 7."""
+    fn = CRITERIA[num][1]
+    if num == 5:
+        return fn(budget)
+    if num in (6, 7):
+        return fn(seed)
+    return fn()
+
+
 def run_all(seed: int = 0, budget: int = 10000, skip: tuple = ()) -> list[dict]:
     reports = []
-    for num, (name, fn) in sorted(CRITERIA.items()):
+    for num, (name, _) in sorted(CRITERIA.items()):
         if num in skip:
             continue
-        if fn is criterion_5:
-            report = _timed(lambda: criterion_5(budget))
-        elif fn in (criterion_6, criterion_7):
-            report = _timed(lambda f=fn: f(seed))
-        else:
-            report = _timed(fn)
+        report = _timed(lambda: run_criterion(num, seed, budget))
         report["criterion"] = num
         report["name"] = name
         reports.append(report)

@@ -8,7 +8,6 @@ sorted label lists.  parse(serialize(x)) is the identity on every payload.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .cycle import BoundaryCertificate, CycleChain, TermProvenance
 from .exactq import q_parse, q_str
@@ -22,20 +21,27 @@ def chain_to_json(chain: SharblyChain) -> list:
     return out
 
 
-def chain_from_json(items: Iterable, n: int | None = None) -> SharblyChain:
+def _int_vectors(vectors) -> list[tuple[int, ...]]:
+    """A nonempty list of integer lists as tuples; ValueError otherwise."""
+    if not isinstance(vectors, list) or not vectors or not all(
+        isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+        for v in vectors
+    ):
+        raise ValueError(f"vectors must be a nonempty list of integer lists, got {vectors!r}")
+    return [tuple(v) for v in vectors]
+
+
+def chain_from_json(items: list) -> SharblyChain:
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("a chain must be a list of {vectors, coeff} objects")
     chain = SharblyChain()
     for item in items:
-        vectors = [tuple(int(x) for x in v) for v in item["vectors"]]
-        chain.add_symbol(vectors, q_parse(item["coeff"]))
+        chain.add_symbol(_int_vectors(item["vectors"]), q_parse(item["coeff"]))
     return chain
 
 
 def matrix_to_json(rows) -> list:
     return [[int(x) for x in r] for r in rows]
-
-
-def matrix_from_json(rows) -> tuple:
-    return tuple(tuple(int(x) for x in r) for r in rows)
 
 
 def triangulation_to_json(tri) -> list:
@@ -84,7 +90,7 @@ def cycle_to_json(z: CycleChain) -> dict:
 
 def cycle_from_json(doc: dict) -> CycleChain:
     n = int(doc["n"])
-    raw = chain_from_json(doc["chain"], n)
+    raw = chain_from_json(doc["chain"])
     provenance = []
     for p in doc["provenance"]:
         provenance.append(

@@ -11,7 +11,6 @@ adjugate of its own covariance form.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +18,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactq import (
     Q,
+    int_adjugate,
     int_det,
     int_rank,
     mat_vec_int,
@@ -172,7 +172,7 @@ def _pair_data(vectors: tuple[IntVector, ...], n: int):
             for j in range(n):
                 s[i][j] += v[i] * v[j]
     dets = int_det(s)
-    adj = _adjugate(s)
+    adj = int_adjugate(s)
     m = len(vectors)
     av = [mat_vec_int(adj, v) for v in vectors]
     npair = [[sum(x * y for x, y in zip(av[i], vectors[j])) for j in range(m)]
@@ -183,18 +183,6 @@ def _pair_data(vectors: tuple[IntVector, ...], n: int):
     )
     global_key = (n, m, dets, tuple(sorted(row_keys)))
     return npair, row_keys, global_key
-
-
-def _adjugate(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
-            out[j][i] = (-1) ** (i + j) * int_det(minor)
-    return out
 
 
 def invariant_key(vectors: Sequence[IntVector], n: int):
@@ -381,15 +369,10 @@ class OrbitClass:
 
 @dataclass
 class OrbitDictionary:
-    """Orbit representatives keyed by invariant fingerprints.
-
-    get-or-insert is atomic; independent boundary terms may be
-    canonicalized concurrently.
-    """
+    """Orbit representatives keyed by invariant fingerprints."""
 
     classes: list[OrbitClass] = field(default_factory=list)
     by_key: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     # per-basic cache of (class_id, sign, witness g mapping basic -> rep)
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -397,28 +380,27 @@ class OrbitDictionary:
         self, a: BasicSharbly
     ) -> tuple[OrbitClass, int, GroupElement]:
         """(class, sign, g) with g.a = sign * class.rep."""
-        with self._lock:
-            hit = self._memo.get(a)
-            if hit is not None:
-                cid, sign, g = hit
-                return self.classes[cid], sign, g
-            key = invariant_key(a.vectors, a.n)
-            for idx in self.by_key.get(key, ()):  # full check on collisions
-                rep = self.classes[idx].rep
-                found = equivalent(a, rep)
-                if found is not None:
-                    g, sign = found
-                    self._memo[a] = (idx, sign, g)
-                    return self.classes[idx], sign, g
-            witness = self_negation_witness(a)
-            cls = OrbitClass(len(self.classes), a, witness is not None, witness)
-            self.classes.append(cls)
-            self.by_key.setdefault(key, []).append(cls.class_id)
-            ident = tuple(
-                tuple(1 if i == j else 0 for j in range(a.n)) for i in range(a.n)
-            )
-            self._memo[a] = (cls.class_id, 1, ident)
-            return cls, 1, ident
+        hit = self._memo.get(a)
+        if hit is not None:
+            cid, sign, g = hit
+            return self.classes[cid], sign, g
+        key = invariant_key(a.vectors, a.n)
+        for idx in self.by_key.get(key, ()):  # full check on collisions
+            rep = self.classes[idx].rep
+            found = equivalent(a, rep)
+            if found is not None:
+                g, sign = found
+                self._memo[a] = (idx, sign, g)
+                return self.classes[idx], sign, g
+        witness = self_negation_witness(a)
+        cls = OrbitClass(len(self.classes), a, witness is not None, witness)
+        self.classes.append(cls)
+        self.by_key.setdefault(key, []).append(cls.class_id)
+        ident = tuple(
+            tuple(1 if i == j else 0 for j in range(a.n)) for i in range(a.n)
+        )
+        self._memo[a] = (cls.class_id, 1, ident)
+        return cls, 1, ident
 
 
 def orbit_canonical(a: BasicSharbly, odict: OrbitDictionary) -> tuple[OrbitClass, int]:

@@ -3,9 +3,9 @@
 A perfect form is pinned down by its minimal vectors; the associated tile
 is the cone spanned by the rank-1 forms of those vectors.  This module
 reconstructs forms from vector data, enumerates minimal vectors exactly,
-computes tile facets and face lattices through the double description
-machinery, and finds tile stabilizers inside SL_n(Z) by a pruned
-backtracking search.  The built-in datasets cover ranks 2 through 5.
+computes tile facets through the double description machinery, and finds
+tile stabilizers inside SL_n(Z) by a pruned backtracking search.  The
+built-in datasets cover ranks 2 through 5.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 from . import data
 from .dd import cone_facets
 from .exactq import (
-    ExactMatrix,
     Q,
+    _rank_from_veclen,
     as_q,
     int_rank,
     pairing_row,
@@ -61,15 +61,6 @@ class Tile:
         return range(len(self.ray_vectors))
 
 
-def rank1(v: Sequence[int]) -> ExactMatrix:
-    """The symmetric rank-1 form v v^t."""
-    v = tuple(v)
-    if all(x == 0 for x in v):
-        raise ValueError("rank-1 form of the zero vector")
-    n = len(v)
-    return ExactMatrix.from_rows([[v[i] * v[j] for j in range(n)] for i in range(n)])
-
-
 def normalize_to_section(v_prime: Sequence, n: Optional[int] = None) -> tuple[Q, ...]:
     """Scale a nonzero positive semidefinite ray to trace 1.
 
@@ -84,13 +75,6 @@ def normalize_to_section(v_prime: Sequence, n: Optional[int] = None) -> tuple[Q,
     if t <= 0:
         raise ValueError("ray has nonpositive trace")
     return tuple(x / t for x in vec)
-
-
-def _rank_from_veclen(d: int) -> int:
-    n = (isqrt(8 * d + 1) - 1) // 2
-    if n * (n + 1) // 2 != d:
-        raise ValueError("not a symmetric-matrix coordinate vector")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +107,7 @@ def _sqrt_floor(x: Q) -> int:
 def minimal_vectors(gram) -> tuple[Q, tuple[IntVector, ...]]:
     """Exact minimum of the form over nonzero integer vectors, with all
     attaining vectors up to sign."""
-    rows = gram.row_list() if isinstance(gram, ExactMatrix) else [
-        [as_q(x) for x in r] for r in gram
-    ]
+    rows = [[as_q(x) for x in r] for r in gram]
     n = len(rows)
     d, u = _ldl(rows)
     bound = min(rows[i][i] for i in range(n))
@@ -212,51 +194,6 @@ def tile_facets(tile: Tile) -> list[tuple[frozenset, IntVector]]:
     return cone_facets(gens)
 
 
-@dataclass(frozen=True)
-class FaceLattice:
-    """All faces of a tile, as ray label sets with cone dimensions."""
-
-    faces: dict  # frozenset -> dim
-    top: frozenset
-
-    def dim(self, face: frozenset) -> int:
-        return self.faces[face]
-
-
-def face_lattice(tile: Tile) -> FaceLattice:
-    facets = [set(f) for f, _ in tile_facets(tile)]
-    top = frozenset(tile.labels)
-    seen = {top}
-    frontier = {frozenset(f) for f in facets}
-    seen |= frontier
-    while frontier:
-        nxt = set()
-        for face in frontier:
-            for f in facets:
-                g = face & f
-                if g and g not in seen:
-                    nxt.add(frozenset(g))
-        seen |= nxt
-        frontier = nxt
-    faces = {}
-    for face in seen:
-        rays = [tile.rays[i] for i in sorted(face)]
-        faces[face] = int_rank(rays)
-    return FaceLattice(faces, top)
-
-
-def minimal_face(lattice: FaceLattice, labels: Iterable[int]) -> frozenset:
-    """Intersection of all faces containing the given ray labels."""
-    s = frozenset(labels)
-    if not s <= lattice.top:
-        raise ValueError("labels are not rays of the tile")
-    best = lattice.top
-    for face in lattice.faces:
-        if s <= face and face < best:
-            best = face
-    return best
-
-
 # ---------------------------------------------------------------------------
 # stabilizers
 
@@ -280,31 +217,16 @@ class DatasetEntry:
     name: str
     n: int
     vectors: tuple[IntVector, ...]
-    aux: dict
 
 
 def builtin_dataset(n: int) -> list[DatasetEntry]:
     """The embedded reference data for rank n (2 through 5), bit-exact."""
     if n not in data.FORMS:
         raise ValueError(f"no built-in data for rank {n}")
-    out = []
-    for name, vectors in data.FORMS[n]:
-        aux: dict = {}
-        if name == "D4":
-            aux["triangulation"] = data.D4_TRIANGULATION
-        if name == "D5":
-            aux["facet"] = data.D5_FACET_F
-            aux["facet_triangulations"] = (
-                data.D5_F_TRIANGULATION_1,
-                data.D5_F_TRIANGULATION_2,
-            )
-            aux["facet_flip_circuit"] = data.D5_F_CIRCUIT_LOCAL
-            aux["facet_flip_sides"] = (
-                data.D5_F_T_PLUS_LOCAL,
-                data.D5_F_T_MINUS_LOCAL,
-            )
-        out.append(DatasetEntry(name, n, tuple(tuple(v) for v in vectors), aux))
-    return out
+    return [
+        DatasetEntry(name, n, tuple(tuple(v) for v in vectors))
+        for name, vectors in data.FORMS[n]
+    ]
 
 
 def builtin_form(name: str) -> PerfectForm:
@@ -330,9 +252,14 @@ def section_configuration(
     configuration in its own affine span.
 
     Points appear in ascending ray-label order; the returned list maps the
-    configuration labels back to tile labels.
+    configuration labels back to tile labels.  Labels that are not rays of
+    the tile, or that repeat, raise ValueError.
     """
     sel = sorted(labels) if labels is not None else list(tile.labels)
+    if any(l not in tile.labels for l in sel):
+        raise ValueError("labels are not rays of the tile")
+    if len(set(sel)) != len(sel):
+        raise ValueError("repeated ray labels")
     pts = [tile.section_points[i] for i in sel]
     coords = project_to_affine_span(pts)
     config = PointConfiguration.from_points(coords)

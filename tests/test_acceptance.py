@@ -13,13 +13,8 @@ _reports: dict[int, dict] = {}
 
 def _run(num: int) -> dict:
     if num not in _reports:
-        name, fn = repro.CRITERIA[num]
-        if num == 5:
-            report = repro._timed(lambda: repro.criterion_5(10000))
-        elif num in (6, 7):
-            report = repro._timed(lambda: fn(0))
-        else:
-            report = repro._timed(fn)
+        name = repro.CRITERIA[num][0]
+        report = repro._timed(lambda: repro.run_criterion(num))
         _reports[num] = report
         status = "pass" if report.get("ok") else "FAIL"
         print(f"criterion {num} ({name}): {status} in {report['seconds']}s")

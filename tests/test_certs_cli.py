@@ -148,6 +148,32 @@ def test_cli_bad_input(tmp_path):
     assert cli.main(["cycle", "build", "--n", "9"]) == 2
 
 
+@pytest.mark.parametrize("facet", ["0,1,99", "0,1,-1", "0,1,1,2"])
+def test_cli_triangulate_rejects_bad_facet_labels(capsys, facet):
+    assert cli.main(["triangulate", "--form", "A3", "--facet", facet]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"vectors": 5, "coeff": "1"}],
+        [{"vectors": [5, 6], "coeff": "1"}],
+        [{"vectors": [[1, 0], "01"], "coeff": "1"}],
+        [{"vectors": [[1, 0], [0, 1.5]], "coeff": "1"}],
+        [{"vectors": [[True, 0], [0, 1]], "coeff": "1"}],
+        [{"vectors": [], "coeff": "1"}],
+        [5],
+        {"vectors": [[1, 0], [0, 1]], "coeff": "1"},
+    ],
+)
+def test_cli_sharbly_canon_rejects_malformed_chain(tmp_path, capsys, doc):
+    chain = tmp_path / "bad.json"
+    chain.write_text(json.dumps(doc))
+    assert cli.main(["sharbly", "canon", "--in", str(chain)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_budget_exceeded(tmp_path):
     pair = tmp_path / "unused.json"
     del pair

@@ -122,37 +122,3 @@ def test_positivity_rejects_flipon_only_chain():
     z.coin = {cls: F(1)}
     cert = co.mu_sign_certificate(z)
     assert not cert.valid
-
-
-def test_volume_unit_simplex():
-    pts = [(0, 0), (1, 0), (0, 1)]
-    simplex = co.OrientedSectionSimplex(tuple(tuple(F(x) for x in p) for p in pts))
-    assert co.euclidean_volume_section(simplex) == F(1, 4)  # (1/2!)^2 * gram 1... area^2
-
-
-def test_volume_degenerate_errors():
-    pts = [(0, 0), (1, 1), (2, 2)]
-    simplex = co.OrientedSectionSimplex(tuple(tuple(F(x) for x in p) for p in pts))
-    with pytest.raises(ValueError):
-        co.euclidean_volume_section(simplex)
-
-
-def test_volume_additive_on_barycentric_split():
-    from math import isqrt
-
-    base = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    mid = (F(1, 2), F(1, 2))
-    whole = co.euclidean_volume_section(co.OrientedSectionSimplex(tuple(base)))
-    pieces = [
-        (base[0], base[1], mid),
-        (base[0], mid, base[2]),
-    ]
-    roots = []
-    for piece in pieces:
-        v2 = co.euclidean_volume_section(co.OrientedSectionSimplex(piece))
-        ratio = v2 / whole
-        num, den = ratio.numerator, ratio.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        assert rn * rn == num and rd * rd == den  # rational square root exists
-        roots.append(F(rn, rd))
-    assert sum(roots) == 1

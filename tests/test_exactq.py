@@ -9,10 +9,10 @@ from vcdcycle import exactq as eq
 
 
 def test_rank_examples():
-    assert eq.rank([[1, 0], [0, 1]]) == 2
-    assert eq.rank([[0] * 3] * 3) == 0
+    assert eq.int_rank(eq.int_rows([[1, 0], [0, 1]])) == 2
+    assert eq.int_rank(eq.int_rows([[0] * 3] * 3)) == 0
     cols = list(zip(*data.D4_VECTORS))
-    assert eq.rank(cols) == 4  # 4 x 12 vertex matrix
+    assert eq.int_rank(eq.int_rows(cols)) == 4  # 4 x 12 vertex matrix
 
 
 def test_det_examples():
@@ -84,7 +84,7 @@ def test_primitive_normalize_scale_invariant(v, a):
 @given(st.integers(2, 5), st.randoms(use_true_random=False))
 def test_det_rank_relation(n, rng):
     m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-    assert (eq.det(m) != 0) == (eq.rank(m) == n)
+    assert (eq.det(m) != 0) == (eq.int_rank(eq.int_rows(m)) == n)
 
 
 def test_affine_dim_of_independent_points():
@@ -110,7 +110,7 @@ def test_symmetric_vectorization():
     # pairing row computes v^t Y v
     y = (F(2), F(1), F(2))  # [[2,1],[1,2]]
     assert eq.quad_value(y, (1, -1), 2) == 2
-    assert eq.dot(eq.pairing_row((1, -1)), y) == 2
+    assert sum(a * b for a, b in zip(eq.pairing_row((1, -1)), y)) == 2
 
 
 def test_rank1_output_rank():
@@ -121,7 +121,7 @@ def test_rank1_output_rank():
         v = tuple(rng.randint(-3, 3) for _ in range(4))
         if not any(v):
             continue
-        assert eq.rank(eq.vec_sym(eq.rank1_vec(v), 4)) == 1
+        assert eq.int_rank(eq.int_rows(eq.vec_sym(eq.rank1_vec(v), 4))) == 1
 
 
 def test_int_matrix_inverse():
@@ -130,6 +130,37 @@ def test_int_matrix_inverse():
     assert eq.mat_mul_int(g, gi) == ((1, 0), (0, 1))
     with pytest.raises(ValueError):
         eq.int_matrix_inverse(((2, 0), (0, 1)))
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_int_adjugate_times_matrix_is_det(n, rng):
+    a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    d = eq.int_det(a)
+    scalar = tuple(tuple(d * x for x in row) for row in _identity(n))
+    adj = eq.int_adjugate(a)
+    assert eq.mat_mul_int(adj, a) == scalar
+    assert eq.mat_mul_int(a, adj) == scalar
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4), st.randoms(use_true_random=False))
+def test_int_matrix_inverse_roundtrip_sl_n(n, rng):
+    # products of elementary matrices e + c E_ij lie in SL_n(Z)
+    g = _identity(n)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        e = [list(row) for row in _identity(n)]
+        e[i][j] = rng.randint(-3, 3)
+        g = eq.mat_mul_int(g, e)
+    gi = eq.int_matrix_inverse(g)
+    assert eq.mat_mul_int(g, gi) == _identity(n)
+    assert eq.mat_mul_int(gi, g) == _identity(n)
+    assert eq.int_matrix_inverse(gi) == g
 
 
 def test_q_str_roundtrip():

@@ -17,13 +17,6 @@ from vcdcycle.exactq import (
 )
 
 
-def test_rank1_examples():
-    assert vr.rank1((1, 0)).row_list() == [(1, 0), (0, 0)]
-    assert vr.rank1((1, -1)).row_list() == [(1, -1), (-1, 1)]
-    with pytest.raises(ValueError):
-        vr.rank1((0, 0))
-
-
 def test_normalize_to_section():
     assert vr.normalize_to_section((1, 0, 0)) == (1, 0, 0)
     assert vr.normalize_to_section((1, -1, 1)) == (F(1, 2), F(-1, 2), F(1, 2))
@@ -98,45 +91,6 @@ def test_tile_facets_small():
 def test_tile_facets_d4_all_simplicial():
     facets = vr.tile_facets(vr.builtin_tile("D4"))
     assert all(len(f) == 9 for f, _ in facets)
-
-
-def test_face_lattice_a2():
-    lat = vr.face_lattice(vr.builtin_tile("A2"))
-    assert len(lat.faces) == 7
-    dims = sorted(lat.faces.values())
-    assert dims == [1, 1, 1, 2, 2, 2, 3]
-
-
-def test_face_lattice_d4_codim1_layer():
-    tile = vr.builtin_tile("D4")
-    lat = vr.face_lattice(tile)
-    facets = {f for f, _ in vr.tile_facets(tile)}
-    layer = {f for f, d in lat.faces.items() if d == 9}
-    assert layer == facets
-
-
-def test_face_counts_unimodal_small():
-    for name in ("A2", "A3"):
-        lat = vr.face_lattice(vr.builtin_tile(name))
-        counts = {}
-        for _, d in lat.faces.items():
-            counts[d] = counts.get(d, 0) + 1
-        seq = [counts[d] for d in sorted(counts)]
-        peak = seq.index(max(seq))
-        assert all(seq[i] <= seq[i + 1] for i in range(peak))
-        assert all(seq[i] >= seq[i + 1] for i in range(peak, len(seq) - 1))
-
-
-def test_minimal_face():
-    tile = vr.builtin_tile("A3")
-    lat = vr.face_lattice(tile)
-    assert vr.minimal_face(lat, {2}) == frozenset({2})
-    assert vr.minimal_face(lat, set(tile.labels)) == lat.top
-    edges = [f for f, d in lat.faces.items() if d == 2]
-    e = min(edges, key=sorted)
-    assert vr.minimal_face(lat, e) == e
-    with pytest.raises(ValueError):
-        vr.minimal_face(lat, {99})
 
 
 def test_stabilizer_orders_and_group_axioms():
