@@ -1,8 +1,9 @@
 """Exact rational linear programming (dense two-phase simplex).
 
-Small feasibility and optimization problems only: regularity witnesses for
-triangulations and proper-intersection tests for pairs of simplices.  All
-arithmetic is over Fraction; Bland's rule guarantees termination.
+Small feasibility problems only: the regularity witnesses of
+triangulations (`feasible_ge`).  Triangulation validity needs no LP; see
+`polytope.is_valid_triangulation`.  All arithmetic is over Fraction;
+Bland's rule guarantees termination.
 """
 
 from __future__ import annotations

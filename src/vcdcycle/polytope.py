@@ -3,14 +3,15 @@
 Convex hull facets, placing and lifted triangulations, regularity
 witnesses, circuits with their sign partitions, bistellar flips, and the
 antisymmetrized gluing identities that relate a flip to the difference of
-the two triangulations it connects.  All geometry is exact; validity and
-regularity come with rational witnesses.
+the two triangulations it connects.  All geometry is exact: validity is
+decided by integer orientation signs, and regularity comes with rational
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -55,6 +56,19 @@ class PointConfiguration:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    # The hull data below is cached on the instance, never in a module-level
+    # cache keyed on the points: a certificate checker must recompute it
+    # from the certificate's own points, even in the process that wrote it.
+
+    @cached_property
+    def _hull_volume(self) -> int:
+        tri = placing_triangulation(self, return_witness=False)
+        return sum(abs(_simplex_det(self, s)) for s in tri)
+
+    @cached_property
+    def _hull_facet_labels(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(tight) for tight, _ in convex_hull_facets(self))
 
 
 @dataclass(frozen=True)
@@ -135,6 +149,18 @@ def simplex_orientation(config: PointConfiguration, simplex: Iterable[int]) -> i
     return (d > 0) - (d < 0)
 
 
+def _side(config: PointConfiguration, ridge: Iterable[int], apex: int) -> int:
+    """The orientation predicate: the sign of det[(1, p_r) ... (1, p_apex)]
+    over r in sorted(ridge), then apex.
+
+    For a ridge of m affinely independent points it tells which side of the
+    ridge's hyperplane the apex lies on; 0 means on it.
+    """
+    pts = _int_points(config)
+    d = int_det([(1,) + pts[r] for r in sorted(ridge)] + [(1,) + pts[apex]])
+    return (d > 0) - (d < 0)
+
+
 # ---------------------------------------------------------------------------
 # hulls
 
@@ -158,21 +184,6 @@ def _boundary_faces(triangulation: Triangulation) -> dict:
             f = s - {v}
             count.setdefault(f, []).append(s)
     return {f: ss[0] for f, ss in count.items() if len(ss) == 1}
-
-
-def _face_functional(pts, face_labels: Sequence[int]):
-    """Primitive normal n and offset with n.x = n.p0 on the face."""
-    labels = sorted(face_labels)
-    base = pts[labels[0]]
-    diffs = [[as_q(x - y) for x, y in zip(pts[i], base)] for i in labels[1:]]
-    kernel = nullspace(diffs)
-    if len(kernel) != 1:
-        raise DegenerateConfiguration("face does not span a hyperplane")
-    from .exactq import primitive_normalize
-
-    normal = primitive_normalize(kernel[0])
-    offset = sum(a * b for a, b in zip(normal, base))
-    return normal, offset
 
 
 def placing_triangulation(
@@ -219,13 +230,9 @@ def placing_triangulation(
         boundary = _boundary_faces(frozenset(tri))
         new_simplices = []
         for face, parent in boundary.items():
-            normal, offset = _face_functional(pts, face)
             apex = next(iter(parent - face))
-            inward = sum(a * b for a, b in zip(normal, pts[apex])) - offset
-            value = sum(a * b for a, b in zip(normal, pts[i])) - offset
-            if inward < 0:
-                inward, value = -inward, -value
-            if value < 0:  # strictly visible
+            # strictly visible: i and the parent's apex on opposite sides
+            if _side(config, face, i) * _side(config, face, apex) < 0:
                 new_simplices.append(face | {i})
         tri.update(new_simplices)
     result = frozenset(tri)
@@ -238,42 +245,33 @@ def placing_triangulation(
 
 
 def hull_volume_scaled(config: PointConfiguration) -> int:
-    """Hull volume times m! in the configuration's integer scale."""
-    tri = placing_triangulation(config, return_witness=False)
-    return sum(abs(_simplex_det(config, s)) for s in tri)
+    """Hull volume times m! in the configuration's integer scale.
+
+    Computed once per configuration instance, from a placing triangulation.
+    """
+    return config._hull_volume
 
 
 # ---------------------------------------------------------------------------
 # validity
 
 
-def _proper_pair_lp(config: PointConfiguration, s1: Simplex, s2: Simplex) -> bool:
-    """True when conv(s1) and conv(s2) meet in conv(s1 & s2)."""
-    pts = _int_points(config)
-    common = s1 & s2
-    a1, a2 = sorted(s1), sorted(s2)
-    m = config.ambient_dim
-    n1, n2 = len(a1), len(a2)
-    rows = []
-    for c in range(m):
-        rows.append(
-            [Q(pts[i][c]) for i in a1] + [Q(-pts[j][c]) for j in a2]
-        )
-    rows.append([Q(1)] * n1 + [Q(0)] * n2)
-    rows.append([Q(0)] * n1 + [Q(1)] * n2)
-    rhs = [Q(0)] * m + [Q(1), Q(1)]
-    objective = [Q(1) if i not in common else Q(0) for i in a1] + [Q(0)] * n2
-    status, value, _ = lp.simplex_max(objective, rows, rhs)
-    if status == lp.INFEASIBLE:
-        return True  # hulls disjoint
-    if status != lp.OPTIMAL:
-        return False
-    return value == 0
-
-
 def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
-    """Exact validity: full-dimensional simplices, volume additivity, and
-    pairwise intersection in common faces."""
+    """Exact validity by the interior-ridge characterization (De Loera,
+    Rambau, Santos, *Triangulations*, 2010, Ch. 4).
+
+    A nonempty set of distinct full-dimensional simplices on the labels of a
+    full-dimensional configuration triangulates its hull exactly when
+    1. the simplex volumes sum to the hull volume;
+    2. every ridge (codimension-1 label set) lies in at most two simplices;
+    3. a ridge in two simplices strictly separates their apexes;
+    4. a ridge in one simplex lies in a facet of the hull.
+    By 2-4 the number of simplices over a generic point of the hull does
+    not change across any ridge, so it is constant; by 1 it is one.  Ridges
+    of one simplex that end inside the hull (T-junctions) fail 4.  Sides
+    come from the orientation predicate `_side`, read off each simplex's
+    own determinant.
+    """
     try:
         _require_full_dim(config)
     except DegenerateConfiguration:
@@ -283,32 +281,33 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
         return False
     m = config.ambient_dim
     labels = set(config.labels)
-    dets = {}
+    volume = 0
+    sides: dict[frozenset, list[int]] = {}  # ridge -> side of each apex
     for s in tri:
         if len(s) != m + 1 or not s <= labels:
             return False
         d = _simplex_det(config, s)
         if d == 0:
             return False
-        dets[s] = abs(d)
-    if sum(dets.values()) != hull_volume_scaled(config):
+        volume += abs(d)
+        sign = 1 if d > 0 else -1
+        for apex in s:
+            # _side(config, s - {apex}, apex): _simplex_det is the determinant
+            # of the rows (1, p) in label order, and moving apex's row last
+            # passes one row per larger label.
+            larger = sum(1 for r in s if r > apex)
+            sides.setdefault(s - {apex}, []).append(-sign if larger % 2 else sign)
+    if volume != hull_volume_scaled(config):
         return False
-    pts = _int_points(config)
-    tri_list = sorted(tri, key=sorted)
-    for i in range(len(tri_list)):
-        for j in range(i + 1, len(tri_list)):
-            s1, s2 = tri_list[i], tri_list[j]
-            common = s1 & s2
-            if len(common) == m:  # shared wall: strict opposite sides
-                normal, offset = _face_functional(pts, common)
-                a = next(iter(s1 - common))
-                b = next(iter(s2 - common))
-                va = sum(x * y for x, y in zip(normal, pts[a])) - offset
-                vb = sum(x * y for x, y in zip(normal, pts[b])) - offset
-                if va * vb >= 0:
-                    return False
-            elif not _proper_pair_lp(config, s1, s2):
+    facets = config._hull_facet_labels
+    for ridge, ss in sides.items():
+        if len(ss) > 2:
+            return False
+        if len(ss) == 2:
+            if ss[0] == ss[1]:
                 return False
+        elif not any(ridge <= f for f in facets):
+            return False
     return True
 
 

@@ -21,14 +21,24 @@ def chain_to_json(chain: SharblyChain) -> list:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_vectors(vectors) -> list[tuple[int, ...]]:
     """A nonempty list of integer lists as tuples; ValueError otherwise."""
     if not isinstance(vectors, list) or not vectors or not all(
-        isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-        for v in vectors
+        isinstance(v, list) and all(_is_int(x) for x in v) for v in vectors
     ):
         raise ValueError(f"vectors must be a nonempty list of integer lists, got {vectors!r}")
     return [tuple(v) for v in vectors]
+
+
+def _labels(items, what: str) -> tuple[int, ...]:
+    """A list of nonnegative integer labels as a tuple; ValueError otherwise."""
+    if not isinstance(items, list) or not all(_is_int(x) and x >= 0 for x in items):
+        raise ValueError(f"{what} must be a list of nonnegative integer labels, got {items!r}")
+    return tuple(items)
 
 
 def chain_from_json(items: list) -> SharblyChain:
@@ -49,7 +59,9 @@ def triangulation_to_json(tri) -> list:
 
 
 def triangulation_from_json(items) -> frozenset:
-    return frozenset(frozenset(int(x) for x in s) for s in items)
+    if not isinstance(items, list):
+        raise ValueError(f"a triangulation must be a list of label lists, got {items!r}")
+    return frozenset(frozenset(_labels(s, "a simplex")) for s in items)
 
 
 def circuit_to_json(circuit) -> dict:
@@ -88,30 +100,38 @@ def cycle_to_json(z: CycleChain) -> dict:
     }
 
 
+def _provenance_from_json(p, n: int) -> TermProvenance:
+    if not isinstance(p, dict):
+        raise ValueError(f"a provenance entry must be an object, got {p!r}")
+    if not isinstance(p["tile"], str):
+        raise ValueError(f"provenance tile must be a form name, got {p['tile']!r}")
+    if not (isinstance(p["weight"], str) or _is_int(p["weight"])):
+        raise ValueError(f"provenance weight must be a rational string, got {p['weight']!r}")
+    if not _is_int(p["sign"]) or p["sign"] not in (1, -1):
+        raise ValueError(f"provenance sign must be 1 or -1, got {p['sign']!r}")
+    return TermProvenance(
+        p["tile"],
+        _labels(p["simplex"], "provenance simplex"),
+        q_parse(p["weight"]),
+        p["sign"],
+        BasicSharbly(n, tuple(_int_vectors(p["vectors"]))),
+    )
+
+
 def cycle_from_json(doc: dict) -> CycleChain:
-    n = int(doc["n"])
+    if not isinstance(doc, dict) or not _is_int(doc["n"]):
+        raise ValueError("a cycle must be an object with an integer n")
+    n = doc["n"]
     raw = chain_from_json(doc["chain"])
-    provenance = []
-    for p in doc["provenance"]:
-        provenance.append(
-            TermProvenance(
-                p["tile"],
-                tuple(int(x) for x in p["simplex"]),
-                q_parse(p["weight"]),
-                int(p["sign"]),
-                BasicSharbly(n, tuple(tuple(int(x) for x in v) for v in p["vectors"])),
-            )
-        )
+    if not isinstance(doc["provenance"], list):
+        raise ValueError("cycle provenance must be a list")
+    provenance = [_provenance_from_json(p, n) for p in doc["provenance"]]
+    orders = doc.get("stabilizer_orders", {})
+    if not isinstance(orders, dict) or not all(_is_int(v) for v in orders.values()):
+        raise ValueError("stabilizer_orders must map form names to integers")
     odict = OrbitDictionary()
     coin = project_coinvariants(raw, odict)
-    return CycleChain(
-        n,
-        raw,
-        provenance,
-        odict,
-        coin,
-        {k: int(v) for k, v in doc.get("stabilizer_orders", {}).items()},
-    )
+    return CycleChain(n, raw, provenance, odict, coin, dict(orders))
 
 
 def boundary_certificate_to_json(cert: BoundaryCertificate, z: CycleChain) -> dict:

@@ -174,6 +174,67 @@ def test_cli_sharbly_canon_rejects_malformed_chain(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.fixture(scope="module")
+def z2_doc():
+    return ser.cycle_to_json(cy.build_zG(2))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("simplex", 5),
+        ("simplex", [0, "1", 2]),
+        ("simplex", [0, -1, 2]),
+        ("vectors", 5),
+        ("vectors", [[1, 0], [0, 1.5]]),
+        ("sign", 2),
+        ("sign", "1"),
+        ("weight", [1]),
+        ("tile", 5),
+    ],
+)
+def test_cli_cycle_verify_rejects_malformed_provenance(tmp_path, capsys, z2_doc, field, value):
+    doc = copy.deepcopy(z2_doc)
+    doc["provenance"][0][field] = value
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(doc))
+    assert cli.main(["cycle", "verify", "--in", str(z)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+MALFORMED_SIMPLICES = [
+    5, [5], [[0, 1, 2, 3, 4.0]], [[0, 1, 2, 3, -1]], [[True, 0, 2, 3, 4]], [["0", 1, 2, 3, 4]]
+]
+
+
+@pytest.mark.parametrize("action", ["path", "verify"])
+@pytest.mark.parametrize("first", MALFORMED_SIMPLICES)
+def test_cli_flip_rejects_malformed_triangulation(tmp_path, capsys, action, first):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"first": first, "second": [[0, 1, 2, 3, 4]]}))
+    argv = ["flip", action, "--form", "A3", "--facet", "0,1,2,3,4", "--in", str(pair)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def a3_triangulation_cert(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tri") / "tc.json"
+    assert cli.main(["triangulate", "--form", "A3", "--facet", "0,1,2,3,4", "--cert", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("simplices", MALFORMED_SIMPLICES)
+def test_cli_cert_check_rejects_malformed_simplices(tmp_path, capsys, a3_triangulation_cert, simplices):
+    doc = copy.deepcopy(a3_triangulation_cert)
+    doc["payload"]["simplices"] = simplices
+    cert = tmp_path / "tc.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["cert", "check", str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("malformed certificate: ")
+
+
 def test_cli_budget_exceeded(tmp_path):
     pair = tmp_path / "unused.json"
     del pair
