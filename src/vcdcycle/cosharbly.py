@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 from .exactq import (
     Q,
     _rank_from_veclen,
-    as_q,
-    det,
+    int_det,
     int_rank,
+    int_rows,
     rank1_vec,
     vec_trace,
 )
@@ -33,16 +33,15 @@ def epsilon(points: Sequence[Sequence], n: Optional[int] = None) -> int:
     at the origin, which makes the sign of an oriented top cone's section
     equal +1.
     """
-    pts = [tuple(as_q(x) for x in p) for p in points]
-    d = len(pts[0])
+    d = len(points[0])
     if n is None:
         n = _rank_from_veclen(d)
-    if len(pts) != d:
+    if len(points) != d:
         raise ValueError("need exactly as many points as coordinates")
-    for p in pts:
+    for p in points:
         if vec_trace(p, n) != 1:
             raise ValueError("point is not on the trace-1 section")
-    dv = det(pts)
+    dv = int_det(int_rows(points))  # int_rows scales each row by a positive factor
     return (dv > 0) - (dv < 0)
 
 

@@ -1,17 +1,21 @@
 """Exact rational scalars, vectors and dense linear algebra.
 
 Every verified quantity in this package is computed here, over Q.  No
-floating point enters any trusted path.  Scalars are `fractions.Fraction`;
-vectors and matrix rows are tuples.  The elimination routines clear
-denominators and run fraction-free (Bareiss) over the integers, which keeps
-intermediate coefficient growth polynomial at the sizes we care about
-(matrices up to roughly 20 x 20).
+floating point enters any trusted path.  Inside, all elimination runs over
+the integers: rational rows are first scaled to primitive integer rows, and
+every elimination step is the one fraction-free (Bareiss) `pivot`, whose
+divisions are exact and whose entries stay minors of the input, so
+coefficient growth is polynomial at the sizes we care about (matrices up to
+roughly 20 x 20).  `fractions.Fraction` appears only at the edges: rational
+input is accepted, and results such as solutions and kernel vectors are
+read off the integer tableau as `Fraction(x, p)`.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -34,10 +38,23 @@ def q_str(x: Q) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_Q_FORMAT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def q_parse(s) -> Q:
-    if isinstance(s, int):
+    """Inverse of q_str: a non-bool int, or a string "p" or "p/q" with q > 0.
+
+    Anything else (floats, booleans, decimal strings, a zero denominator)
+    raises ValueError.
+    """
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    return Fraction(str(s))
+    if not isinstance(s, str) or not _Q_FORMAT.fullmatch(s):
+        raise ValueError(f"a rational must be an integer or a string p or p/q, got {s!r}")
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +62,11 @@ def q_parse(s) -> Q:
 
 
 def _clear_row(row: Sequence) -> list[int]:
-    """Scale a rational row to a primitive integer row (sign preserved)."""
-    row = [as_q(x) for x in row]
-    l = 1
-    for x in row:
-        l = l * x.denominator // gcd(l, x.denominator)
-    ints = [int(x * l) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    """Scale an int/Fraction row to a primitive integer row (sign preserved)."""
+    l = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (l // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -162,98 +172,93 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _coerce_rows(m) -> list[list[Q]]:
-    return [[as_q(x) for x in r] for r in m]
+def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free (Bareiss) pivot on rows[r][c], in place.
+
+    Every other row becomes (p * row - row[c] * rows[r]) // prev with
+    p = rows[r][c], rows whose entry in column c is 0 included; `prev` is
+    the previous step's pivot (1 at the start).  Each division is exact
+    (Sylvester's identity), and the pivot entries of earlier steps all become
+    p, so the integer rows are p times the rational tableau.  Returns p.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        elif p != prev:
+            rows[i] = [p * x // prev for x in row]
+    return p
+
+
+def _gauss_jordan(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Integer Gauss-Jordan on `pivot`, in place: (rows, pivot columns, p).
+
+    Every pivot entry ends equal to p, so rows / p is the reduced row
+    echelon form, which is unique whatever the pivot rows chosen; the
+    smallest nonzero entry of each column is taken.
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    pivots: list[int] = []
+    prev = 1
+    row = 0
+    for col in range(n):
+        best = None
+        for i in range(row, m):
+            x = a[i][col]
+            if x and (best is None or abs(x) < abs(a[best][col])):
+                best = i
+        if best is None:
+            continue
+        a[row], a[best] = a[best], a[row]
+        prev = pivot(a, row, col, prev)
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return a, pivots, prev
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def det(m) -> Q:
-    """Exact determinant of a square matrix."""
-    rows = _coerce_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    scale = Q(1)
-    irows = []
-    for r in rows:
-        l = 1
-        for x in r:
-            l = l * x.denominator // gcd(l, x.denominator)
-        irows.append([int(x * l) for x in r])
-        scale *= l
-    return Q(int_det(irows), 1) / scale
-
-
-def _rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot columns).
-
-    Pivot choice: smallest nonzero height in the column, which keeps the
-    rational entries short on the dense systems seen here.
-    """
-    a = [r[:] for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        best = None
-        best_h = None
-        for i in range(row, m):
-            x = a[i][col]
-            if x != 0:
-                h = max(abs(x.numerator), x.denominator)
-                if best is None or h < best_h:
-                    best, best_h = i, h
-        if best is None:
-            continue
-        a[row], a[best] = a[best], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return a, pivots
-
-
 def solve(m, rhs: Sequence) -> Optional[Vector]:
-    """Some exact solution x of m x = rhs, or None if inconsistent."""
-    rows = _coerce_rows(m)
-    b = vec_q(rhs)
-    if len(b) != len(rows):
+    """Some exact solution x of m x = rhs, or None if inconsistent.
+
+    Pivot variables take the reduced row echelon values, free ones 0.
+    """
+    if len(rhs) != len(m):
         raise ValueError("shape mismatch")
-    n = len(rows[0]) if rows else 0
-    aug = [list(r) + [b[i]] for i, r in enumerate(rows)]
-    red, pivots = _rref(aug)
+    n = len(m[0]) if m else 0
+    red, pivots, p = _gauss_jordan([_clear_row(list(r) + [b]) for r, b in zip(m, rhs)])
     if n in pivots:
         return None  # pivot in the rhs column: inconsistent
     x = [Q(0)] * n
     for r, col in zip(red, pivots):
-        x[col] = r[n]
+        x[col] = Q(r[n], p)
     return tuple(x)
 
 
 def nullspace(m) -> list[Vector]:
-    """Basis of the right kernel of m."""
-    rows = _coerce_rows(m)
-    if not rows:
+    """Basis of the right kernel of m, one vector per free column f, with
+    entry 1 at f and 0 at the other free columns."""
+    if not m:
         return []
-    n = len(rows[0])
-    red, pivots = _rref(rows)
-    free = [j for j in range(n) if j not in pivots]
+    n = len(m[0])
+    red, pivots, p = _gauss_jordan([_clear_row(r) for r in m])
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         v = [Q(0)] * n
         v[f] = Q(1)
         for r, col in zip(red, pivots):
-            v[col] = -r[f]
+            v[col] = Q(-r[f], p)
         basis.append(tuple(v))
     return basis
 
@@ -275,18 +280,13 @@ def primitive_normalize(v: Sequence) -> IntVector:
     """Canonical representative of the line through v.
 
     Returns the integer vector with content 1 and positive leading nonzero
-    entry that is a rational multiple of v.
+    entry that is a rational multiple of v (entries int or Fraction).
     """
-    vq = vec_q(v)
-    if all(x == 0 for x in vq):
-        raise ValueError("primitive_normalize of the zero vector")
-    ints = _clear_row(vq)
+    ints = _clear_row(v)
     for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+        if x:
+            return tuple(-y for y in ints) if x < 0 else tuple(ints)
+    raise ValueError("primitive_normalize of the zero vector")
 
 
 # ---------------------------------------------------------------------------

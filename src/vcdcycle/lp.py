@@ -2,34 +2,36 @@
 
 Small feasibility problems only: the regularity witnesses of
 triangulations (`feasible_ge`).  Triangulation validity needs no LP; see
-`polytope.is_valid_triangulation`.  All arithmetic is over Fraction;
-Bland's rule guarantees termination.
+`polytope.is_valid_triangulation`.
+
+The tableau is integer (Edmonds' integer-preserving simplex).  The
+rational input is scaled by one common positive denominator, and every
+step is the fraction-free `exactq.pivot`, which keeps each row a positive
+multiple of the same row of the `Fraction` tableau: the simplex pivots
+are positive, and a negative pivot of the artificial drive-out has its
+row negated first.  Signs and row ratios therefore equal the rational
+ones, so Bland's rule (which also guarantees termination) makes the same
+pivots and returns the same vertex as a `Fraction` simplex.  `Fraction`
+appears only in the input and in the returned solution.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
-from .exactq import Q, as_q
+from .exactq import Q, pivot
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-def _pivot(tab: list[list[Q]], basis: list[int], r: int, c: int) -> None:
-    piv = tab[r][c]
-    tab[r] = [x / piv for x in tab[r]]
-    prow = tab[r]
-    for i, row in enumerate(tab):
-        if i != r and row[c] != 0:
-            f = row[c]
-            tab[i] = [x - f * y for x, y in zip(row, prow)]
-    basis[r] = c
+def _simplex(tab: list[list[int]], basis: list[int], ncols: int, d: int) -> tuple[str, int]:
+    """Maximize the objective stored in the last tableau row (Bland).
 
-
-def _simplex(tab: list[list[Q]], basis: list[int], ncols: int) -> str:
-    """Maximize the objective stored in the last tableau row (Bland)."""
+    `d` is the last pivot; returns the status and the new last pivot.
+    """
     obj = len(tab) - 1
     while True:
         enter = None
@@ -38,74 +40,88 @@ def _simplex(tab: list[list[Q]], basis: list[int], ncols: int) -> str:
                 enter = j
                 break
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, d
         leave = None
-        best = None
         for i in range(obj):
-            if tab[i][enter] > 0:
-                ratio = tab[i][ncols] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a against rhs_leave / a_leave, both denominators > 0
+                lhs = tab[i][ncols] * tab[leave][enter]
+                rhs = tab[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
+            return UNBOUNDED, d
+        basis[leave] = enter
+        d = pivot(tab, leave, enter, d)
 
 
 def simplex_max(
     c: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence
 ) -> tuple[str, Optional[Q], Optional[tuple[Q, ...]]]:
-    """max c.x  s.t.  A x = b, x >= 0.  Returns (status, value, x)."""
+    """max c.x  s.t.  A x = b, x >= 0, for int or Fraction data.
+
+    Returns (status, value, x).
+    """
     m = len(a_eq)
     n = len(c)
-    a = [[as_q(x) for x in row] for row in a_eq]
-    b = [as_q(x) for x in b_eq]
+    a = [list(row) for row in a_eq]
+    b = list(b_eq)
     for i in range(m):
         if b[i] < 0:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
 
-    # phase 1: artificial variable per row
+    # phase 1: artificial variable per row; the whole tableau times l
+    l = lcm(*(x.denominator for row in a for x in row), *(x.denominator for x in b))
     ncols = n + m
-    tab = [a[i] + [Q(1) if j == i else Q(0) for j in range(m)] + [b[i]]
-           for i in range(m)]
+    tab = [
+        [x.numerator * (l // x.denominator) for x in a[i]]
+        + [l if j == i else 0 for j in range(m)]
+        + [b[i].numerator * (l // b[i].denominator)]
+        for i in range(m)
+    ]
     basis = [n + i for i in range(m)]
-    objrow = [Q(0)] * (ncols + 1)
-    for i in range(m):  # minimize sum of artificials
-        objrow = [x - y for x, y in zip(objrow, tab[i])]
-    for j in range(n, n + m):
-        objrow[j] = Q(0)
+    objrow = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
+    for j in range(n, n + m):  # minimize the sum of the artificials
+        objrow[j] = 0
     tab.append(objrow)
-    _simplex(tab, basis, ncols)
-    if -tab[-1][ncols] != 0:
+    _, d = _simplex(tab, basis, ncols, 1)
+    if tab[-1][ncols] != 0:
         return INFEASIBLE, None, None
     # drive remaining artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
             for j in range(n):
                 if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j)
+                    if tab[i][j] < 0:
+                        tab[i] = [-x for x in tab[i]]
+                    basis[i] = j
+                    d = pivot(tab, i, j, d)
                     break
 
-    # phase 2 on the original columns
+    # phase 2 on the original columns, objective -c scaled to integers
     rows = [r for i, r in enumerate(tab[:-1]) if basis[i] < n]
     basis2 = [bv for bv in basis if bv < n]
     tab2 = [row[:n] + [row[ncols]] for row in rows]
-    obj = [-as_q(x) for x in c] + [Q(0)]
-    for i, bv in enumerate(basis2):
-        if obj[bv] != 0:
-            f = obj[bv]
-            obj = [x - f * y for x, y in zip(obj, tab2[i])]
+    lc = lcm(*(x.denominator for x in c))
+    c_int = [x.numerator * (lc // x.denominator) for x in c]
+    obj = [-d * x for x in c_int] + [0]
+    for row, bv in zip(tab2, basis2):
+        f = c_int[bv]
+        if f:
+            obj = [x + f * y for x, y in zip(obj, row)]
     tab2.append(obj)
-    status = _simplex(tab2, basis2, n)
+    status, d = _simplex(tab2, basis2, n, d)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [Q(0)] * n
-    for i, bv in enumerate(basis2):
-        x[bv] = tab2[i][n]
-    value = sum(as_q(ci) * xi for ci, xi in zip(c, x))
+    for row, bv in zip(tab2, basis2):
+        x[bv] = Q(row[n], d)
+    value = sum(ci * xi for ci, xi in zip(c, x))
     return OPTIMAL, value, tuple(x)
 
 
@@ -120,11 +136,9 @@ def feasible_ge(a_ge: Sequence[Sequence], b: Sequence) -> Optional[tuple[Q, ...]
     n = len(a_ge[0])
     a_eq = []
     for i, row in enumerate(a_ge):
-        r = [as_q(x) for x in row]
-        slack = [Q(-1) if j == i else Q(0) for j in range(m)]
-        a_eq.append(r + [-x for x in r] + slack)
-    c = [Q(0)] * (2 * n + m)
-    status, _, sol = simplex_max(c, a_eq, b)
+        slack = [-1 if j == i else 0 for j in range(m)]
+        a_eq.append(list(row) + [-x for x in row] + slack)
+    status, _, sol = simplex_max([0] * (2 * n + m), a_eq, b)
     if status != OPTIMAL:
         return None
     return tuple(sol[j] - sol[n + j] for j in range(n))

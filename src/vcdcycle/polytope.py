@@ -11,13 +11,13 @@ witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import gcd
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .dd import cone_facets
-from .exactq import Q, as_q, int_det, int_rank, nullspace, solve, vec_q
+from .exactq import Q, as_q, int_det, int_rank, nullspace, primitive_normalize, solve, vec_q
 from .sharbly import AntisymSum
 
 Simplex = frozenset  # of point labels
@@ -60,6 +60,12 @@ class PointConfiguration:
     # The hull data below is cached on the instance, never in a module-level
     # cache keyed on the points: a certificate checker must recompute it
     # from the certificate's own points, even in the process that wrote it.
+
+    @cached_property
+    def _int_points(self) -> tuple[tuple[int, ...], ...]:
+        """All points scaled by one common denominator (a similarity)."""
+        l = lcm(*(x.denominator for p in self.points for x in p))
+        return tuple(tuple(x.numerator * (l // x.denominator) for x in p) for p in self.points)
 
     @cached_property
     def _hull_volume(self) -> int:
@@ -106,22 +112,12 @@ class Flip:
 # integer coordinates
 
 
-@lru_cache(maxsize=None)
-def _int_points(config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
-    """All points scaled by one common denominator (a similarity)."""
-    l = 1
-    for p in config.points:
-        for x in p:
-            l = l * x.denominator // gcd(l, x.denominator)
-    return tuple(tuple(int(x * l) for x in p) for p in config.points)
-
-
 def _homog(config: PointConfiguration) -> list[tuple[int, ...]]:
-    return [(1,) + p for p in _int_points(config)]
+    return [(1,) + p for p in config._int_points]
 
 
 def config_affine_dim(config: PointConfiguration, labels=None) -> int:
-    pts = _int_points(config)
+    pts = config._int_points
     sel = list(labels) if labels is not None else list(config.labels)
     base = pts[sel[0]]
     diffs = [[x - y for x, y in zip(pts[i], base)] for i in sel[1:]]
@@ -136,7 +132,7 @@ def _require_full_dim(config: PointConfiguration) -> None:
 
 
 def _simplex_det(config: PointConfiguration, simplex: Iterable[int]) -> int:
-    pts = _int_points(config)
+    pts = config._int_points
     labels = sorted(simplex)
     base = pts[labels[0]]
     rows = [[x - y for x, y in zip(pts[i], base)] for i in labels[1:]]
@@ -156,7 +152,7 @@ def _side(config: PointConfiguration, ridge: Iterable[int], apex: int) -> int:
     For a ridge of m affinely independent points it tells which side of the
     ridge's hyperplane the apex lies on; 0 means on it.
     """
-    pts = _int_points(config)
+    pts = config._int_points
     d = int_det([(1,) + pts[r] for r in sorted(ridge)] + [(1,) + pts[apex]])
     return (d > 0) - (d < 0)
 
@@ -197,7 +193,7 @@ def placing_triangulation(
     height vector is also returned.
     """
     _require_full_dim(config)
-    pts = _int_points(config)
+    pts = config._int_points
     m = config.ambient_dim
     order = list(order) if order is not None else list(config.labels)
     if sorted(order) != list(config.labels):
@@ -317,12 +313,10 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
 
 def _barycentric(config: PointConfiguration, simplex: Sequence[int], label: int):
     """Affine coordinates of a point with respect to a full simplex."""
-    pts = _int_points(config)
+    pts = config._int_points
     labels = sorted(simplex)
-    cols = [[Q(1)] + [Q(x) for x in pts[i]] for i in labels]
-    mat = [list(r) for r in zip(*cols)]
-    rhs = [Q(1)] + [Q(x) for x in pts[label]]
-    sol = solve(mat, rhs)
+    mat = list(zip(*((1,) + pts[i] for i in labels)))
+    sol = solve(mat, (1,) + pts[label])
     if sol is None:
         raise DegenerateConfiguration("degenerate simplex in triangulation")
     return dict(zip(labels, sol))
@@ -347,12 +341,12 @@ def is_regular(
             if w in s:
                 continue
             lam = _barycentric(config, sorted(s), w)
-            row = [Q(0)] * nlab
-            row[w] = Q(1)
+            row = [0] * nlab
+            row[w] = 1
             for l, c in lam.items():
                 row[l] -= c
             rows.append(row)
-            rhs.append(Q(1))
+            rhs.append(1)
     if not rows:  # a single simplex: any heights work
         return {i: Q(0) for i in range(nlab)}
     sol = lp.feasible_ge(rows, rhs)
@@ -364,12 +358,10 @@ def is_regular(
 def lift_triangulation(config: PointConfiguration, heights) -> Triangulation:
     """Lower-hull triangulation induced by generic heights."""
     _require_full_dim(config)
-    pts = _int_points(config)
+    pts = config._int_points
     m = config.ambient_dim
     hs = [as_q(heights[i]) for i in config.labels]
-    l = 1
-    for h in hs:
-        l = l * h.denominator // gcd(l, h.denominator)
+    l = lcm(*(h.denominator for h in hs))
     hint = [int(h * l) for h in hs]
     lifted = [(1,) + p + (hint[i],) for i, p in enumerate(pts)]
     base = lifted[0]
@@ -401,16 +393,12 @@ def affine_dependence(
 ) -> Circuit:
     """The circuit carried by points with exactly one affine dependence."""
     sel = sorted(labels) if labels is not None else list(config.labels)
-    pts = _int_points(config)
-    cols = [(1,) + pts[i] for i in sel]
-    mat = [[Q(x) for x in row] for row in zip(*cols)]
-    kernel = nullspace(mat)
+    pts = config._int_points
+    kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
     if len(kernel) == 0:
         raise ValueError("points are affinely independent")
     if len(kernel) > 1:
         raise ValueError("more than one affine dependence")
-    from .exactq import primitive_normalize
-
     coeffs = list(primitive_normalize(kernel[0]))
     if any(c == 0 for c in coeffs):
         raise ValueError("dependence does not involve every point")
@@ -432,10 +420,8 @@ def gkz_two_triangulations(z: Circuit):
 def _circuit_of(config: PointConfiguration, labels: Iterable[int]) -> Optional[Circuit]:
     """The unique circuit inside a label set with a 1-dim dependence space."""
     sel = sorted(labels)
-    pts = _int_points(config)
-    cols = [(1,) + pts[i] for i in sel]
-    mat = [[Q(x) for x in row] for row in zip(*cols)]
-    kernel = nullspace(mat)
+    pts = config._int_points
+    kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
     if len(kernel) != 1:
         return None
     support = [sel[i] for i, c in enumerate(kernel[0]) if c != 0]

@@ -6,7 +6,11 @@ vanishing of lists that do not span Q^n.  Chains carry rational
 coefficients.  Reduction modulo SL_n(Z) is realized by an orbit dictionary:
 representatives are found by a backtracking search over signed vector
 bijections, pruned by the invariant pairing of each vector list against the
-adjugate of its own covariance form.
+adjugate of its own covariance form.  The search runs over the integers:
+each candidate bijection gives g = B adj(A) / det(A), where the adjugate and
+determinant of the base matrix A are computed once per search, and is kept
+only when that division is exact and det g = 1.  Rationals (`Fraction`)
+appear only as chain coefficients.
 """
 
 from __future__ import annotations
@@ -231,7 +235,10 @@ def vector_set_maps(
         for i in base
     ]
     order = sorted(range(n), key=lambda k: len(cand[k]))
-    basemat = [sa[base[k]] for k in range(n)]
+    # g takes the base columns A to the chosen signed images B: g = B adj(A) / det(A)
+    basecols = list(zip(*(sa[i] for i in base)))
+    det_a = int_det(basecols)
+    adj_a = int_adjugate(basecols)
 
     assign_j = [-1] * n
     assign_s = [0] * n
@@ -239,9 +246,7 @@ def vector_set_maps(
 
     def backtrack(pos: int) -> Iterator[GroupElement]:
         if pos == n:
-            yield from _complete(
-                sa, sb, b_index, base, basemat, assign_j, assign_s, n, m
-            )
+            yield from _complete(sa, sb, b_index, adj_a, det_a, assign_j, assign_s, n)
             return
         k = order[pos]
         i = base[k]
@@ -278,26 +283,16 @@ def vector_set_maps(
     yield from backtrack(0)
 
 
-def _complete(sa, sb, b_index, base, basemat, assign_j, assign_s, n, m):
-    from .exactq import _rref, Q as QQ  # late import to avoid cycle noise
-
-    # solve g . basemat[k] = s_k * image_k, i.e. A^t X = B^t with X = g^t
-    aug = [
-        [QQ(x) for x in basemat[k]]
-        + [QQ(assign_s[k] * y) for y in sb[assign_j[k]]]
-        for k in range(n)
-    ]
-    red, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        return
+def _complete(sa, sb, b_index, adj_a, det_a, assign_j, assign_s, n):
+    images = [[assign_s[k] * y for y in sb[assign_j[k]]] for k in range(n)]
     g_rows = []
     for r in range(n):
         row = []
         for c in range(n):
-            x = red[c][n + r]  # g[r][c] = (g^t)[c][r]
-            if x.denominator != 1:
+            x, rem = divmod(sum(images[k][r] * adj_a[k][c] for k in range(n)), det_a)
+            if rem:
                 return
-            row.append(int(x))
+            row.append(x)
         g_rows.append(tuple(row))
     g = tuple(g_rows)
     if int_det(g) != 1:

@@ -24,6 +24,7 @@ from .exactq import (
     pairing_row,
     primitive_normalize,
     rank1_vec,
+    solve,
     vec_sym,
     vec_trace,
 )
@@ -157,9 +158,7 @@ def form_from_minvecs(vectors: Iterable[Sequence[int]], name: str = "") -> Perfe
     rows = [pairing_row(v) for v in vs]
     if int_rank(rows) < dsym:
         raise ValueError("rank-1 forms of the vectors do not span")
-    from .exactq import solve
-
-    sol = solve([[Q(x) for x in r] for r in rows], [Q(2)] * len(vs))
+    sol = solve(rows, [2] * len(vs))
     if sol is None:
         raise ValueError("no form takes equal values on the vectors")
     gram = tuple(tuple(r) for r in vec_sym(sol, n))

@@ -202,6 +202,33 @@ def test_cli_cycle_verify_rejects_malformed_provenance(tmp_path, capsys, z2_doc,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+BAD_RATIONALS = ["1/0", "-3/0", 1.5, True, "0.5", "1/-2", " 1", [1]]
+
+
+@pytest.mark.parametrize("action", ["canon", "boundary"])
+@pytest.mark.parametrize("coeff", BAD_RATIONALS)
+def test_cli_sharbly_rejects_bad_coefficient(tmp_path, capsys, action, coeff):
+    chain = tmp_path / "bad.json"
+    chain.write_text(json.dumps([{"vectors": [[1, 0], [0, 1], [1, -1]], "coeff": coeff}]))
+    assert cli.main(["sharbly", action, "--in", str(chain)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["cycle", "verify"], ["cocycle", "certify"]])
+@pytest.mark.parametrize("where", ["coeff", "weight"])
+@pytest.mark.parametrize("value", BAD_RATIONALS)
+def test_cli_cycle_rejects_bad_rational(tmp_path, capsys, z2_doc, command, where, value):
+    doc = copy.deepcopy(z2_doc)
+    if where == "coeff":
+        doc["chain"][0]["coeff"] = value
+    else:
+        doc["provenance"][0]["weight"] = value
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(doc))
+    assert cli.main(command + ["--in", str(z)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 MALFORMED_SIMPLICES = [
     5, [5], [[0, 1, 2, 3, 4.0]], [[0, 1, 2, 3, -1]], [[True, 0, 2, 3, 4]], [["0", 1, 2, 3, 4]]
 ]

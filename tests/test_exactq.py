@@ -16,11 +16,11 @@ def test_rank_examples():
 
 
 def test_det_examples():
-    assert eq.det([[1, 0], [0, 1]]) == 1
-    assert eq.det([[0, 1], [1, 0]]) == -1
-    assert eq.det([[2, 1], [1, 2]]) == 3
+    assert eq.int_det([[1, 0], [0, 1]]) == 1
+    assert eq.int_det([[0, 1], [1, 0]]) == -1
+    assert eq.int_det([[2, 1], [1, 2]]) == 3
     with pytest.raises(ValueError):
-        eq.det([[1, 2, 3]])
+        eq.int_det([[1, 2, 3]])
 
 
 def test_solve_examples():
@@ -84,7 +84,7 @@ def test_primitive_normalize_scale_invariant(v, a):
 @given(st.integers(2, 5), st.randoms(use_true_random=False))
 def test_det_rank_relation(n, rng):
     m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-    assert (eq.det(m) != 0) == (eq.int_rank(eq.int_rows(m)) == n)
+    assert (eq.int_det(m) != 0) == (eq.int_rank(eq.int_rows(m)) == n)
 
 
 def test_affine_dim_of_independent_points():

@@ -18,7 +18,7 @@ def _proper_pair_lp(config, s1, s2) -> bool:
     Maximizes the weight that a common point puts on the labels of s1
     outside s1 & s2; the simplices meet properly exactly when it is 0.
     """
-    pts = pt._int_points(config)
+    pts = config._int_points
     common = s1 & s2
     a1, a2 = sorted(s1), sorted(s2)
     rows = [
@@ -40,7 +40,7 @@ def lifted_hull_volume(config) -> int:
     lifted by random heights, which is generic with high probability."""
     if len(config) == config.ambient_dim + 1:  # a simplex: no room to lift
         return abs(pt._simplex_det(config, config.labels))
-    pts = pt._int_points(config)
+    pts = config._int_points
     rng = random.Random(0)
     while True:
         lifted = [(1,) + p + (rng.randint(0, 10**6),) for p in pts]
@@ -216,3 +216,12 @@ def test_hull_is_cached_per_instance():
     assert second == first
     assert "_hull_volume" in vars(first) and "_hull_facet_labels" in vars(first)
     assert "_hull_volume" not in vars(second) and "_hull_facet_labels" not in vars(second)
+
+
+def test_integer_points_are_cached_per_instance():
+    points = [(0, 0), (Q(1, 2), 0), (0, Q(1, 3))]
+    first = pt.PointConfiguration.from_points(points)
+    assert first._int_points == ((0, 0), (3, 0), (0, 2))
+    assert first._int_points is vars(first)["_int_points"]
+    second = pt.PointConfiguration.from_points(points)
+    assert second == first and "_int_points" not in vars(second)
