@@ -314,7 +314,7 @@ def match_facets(tiles: Sequence[Tile]) -> list[FacetMatch]:
                     ]
                     if len(ovecs) != len(fvecs):
                         continue
-                    for g in vector_set_maps(ovecs, fvecs, n):
+                    for g, _ in vector_set_maps(ovecs, fvecs, n):
                         image = frozenset(
                             primitive_normalize(mat_vec_int(g, v))
                             for v in other.ray_vectors

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .exactq import int_adjugate, int_det, int_rank
+from .exactq import independent_rows, int_adjugate, int_det
 
 
 def _reduce(v: list[int]) -> tuple[int, ...]:
@@ -27,15 +27,10 @@ def _reduce(v: list[int]) -> tuple[int, ...]:
 
 def _initial_basis(rows: Sequence[Sequence[int]], d: int) -> list[int]:
     """Indices of d linearly independent constraint rows (greedy)."""
-    chosen: list[int] = []
-    cur: list[Sequence[int]] = []
-    for i, r in enumerate(rows):
-        if int_rank(cur + [list(r)]) > len(chosen):
-            chosen.append(i)
-            cur.append(list(r))
-            if len(chosen) == d:
-                return chosen
-    raise ValueError("constraint matrix does not have full column rank")
+    chosen = independent_rows(rows, d)
+    if len(chosen) < d:
+        raise ValueError("constraint matrix does not have full column rank")
+    return chosen
 
 
 def _solve_initial_rays(rows: Sequence[Sequence[int]], idx: list[int]) -> list[tuple[int, ...]]:

@@ -121,7 +121,7 @@ def int_adjugate(a: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _row_reduce_content(row: list[int]) -> list[int]:
+def _row_reduce_content(row: Sequence[int]) -> Sequence[int]:
     g = 0
     for x in row:
         g = gcd(g, x)
@@ -132,44 +132,41 @@ def _row_reduce_content(row: list[int]) -> list[int]:
     return row
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, exact integer elimination.
+def independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the first `limit` rows, in order, each outside the span of
+    the rows before it (fewer when the rows have lower rank).
 
-    Cross-multiplication row operations with gcd reduction: no divisions
-    whose exactness would depend on pivot bookkeeping.
+    One fraction-free echelon pass: a row is reduced, r <- e[c] r - r[c] e
+    (both factors divided by their gcd, the result by its content), by each
+    kept row e at its pivot column c (kept rows are zero at earlier pivots),
+    and is kept when something is left, pivoting on its last nonzero entry
+    (on the rank-5 facet rows that needs a third fewer reductions than the
+    first).
     """
-    a = [_row_reduce_content(list(r)) for r in rows if any(r)]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        best = None
-        for i in range(row, m):
-            x = a[i][col]
-            if x != 0 and (best is None or abs(x) < best):
-                piv, best = i, abs(x)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        prow = a[row]
-        for i in range(row + 1, m):
-            aic = a[i][col]
-            if aic == 0:
-                continue
-            arow = a[i]
-            g = gcd(pivot, aic)
-            fp, fa = pivot // g, aic // g
-            newrow = [fp * arow[j] - fa * prow[j] for j in range(n)]
-            a[i] = _row_reduce_content(newrow)
-        rank += 1
-        row += 1
-        if row == m:
+    picked: list[int] = []
+    echelon: list[tuple[int, Sequence[int]]] = []  # (pivot column, row)
+    for i, r in enumerate(rows):
+        r = _row_reduce_content(r)
+        for c, e in echelon:
+            x = r[c]
+            if x:
+                p = e[c]
+                g = gcd(p, x)
+                p, x = p // g, x // g
+                r = _row_reduce_content([p * y - x * z for y, z in zip(r, e)])
+        for c in range(len(r) - 1, -1, -1):
+            if r[c]:
+                echelon.append((c, r))
+                picked.append(i)
+                break
+        if len(picked) == limit:
             break
-    return rank
+    return picked
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by `independent_rows`."""
+    return len(independent_rows(rows, len(rows[0]))) if rows else 0
 
 
 def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -282,10 +279,13 @@ def primitive_normalize(v: Sequence) -> IntVector:
     Returns the integer vector with content 1 and positive leading nonzero
     entry that is a rational multiple of v (entries int or Fraction).
     """
-    ints = _clear_row(v)
+    if all(type(x) is int for x in v):  # no denominators to clear
+        ints, g = v, gcd(*v)
+    else:
+        ints, g = _clear_row(v), 1
     for x in ints:
         if x:
-            return tuple(-y for y in ints) if x < 0 else tuple(ints)
+            return tuple(y // g for y in ints) if x > 0 else tuple(-y // g for y in ints)
     raise ValueError("primitive_normalize of the zero vector")
 
 
@@ -325,10 +325,10 @@ def vec_sym(vec: Sequence, n: int) -> list[list[Q]]:
 
 
 def vec_trace(vec: Sequence, n: int) -> Q:
-    t = Q(0)
+    t = 0
     k = 0
     for i in range(n):
-        t += as_q(vec[k])
+        t += vec[k]
         k += n - i
     return t
 

@@ -17,7 +17,10 @@ from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .dd import cone_facets
-from .exactq import Q, as_q, int_det, int_rank, nullspace, primitive_normalize, solve, vec_q
+from .exactq import (
+    Q, as_q, independent_rows, int_det, int_rank, int_rows, nullspace, primitive_normalize,
+    solve, vec_q,
+)
 from .sharbly import AntisymSum
 
 Simplex = frozenset  # of point labels
@@ -199,21 +202,8 @@ def placing_triangulation(
     if sorted(order) != list(config.labels):
         raise ValueError("order must be a permutation of the labels")
 
-    initial: list[int] = []
-    rows: list = []
-    for i in order:
-        base = pts[initial[0]] if initial else None
-        cand = rows + (
-            [[x - y for x, y in zip(pts[i], base)]] if initial else []
-        )
-        if not initial:
-            initial.append(i)
-            continue
-        if int_rank(cand) > len(rows):
-            rows = cand
-            initial.append(i)
-        if len(initial) == m + 1:
-            break
+    diffs = [[x - y for x, y in zip(pts[i], pts[order[0]])] for i in order[1:]]
+    initial = [order[0]] + [order[1 + k] for k in independent_rows(diffs, m)]
     if len(initial) < m + 1:
         raise DegenerateConfiguration("no full-dimensional initial simplex")
 
@@ -665,17 +655,10 @@ def project_to_affine_span(points: Sequence[Sequence]) -> list[tuple[Q, ...]]:
     Affine relations, convexity and orientation classes are preserved;
     the projection basis is chosen deterministically.
     """
-    from .exactq import int_rows
-
     pts = [vec_q(p) for p in points]
     base = pts[0]
-    basis: list[tuple] = []
-    rows: list = []
-    for p in pts[1:]:
-        d = [x - y for x, y in zip(p, base)]
-        if int_rank(int_rows(rows + [d])) > len(rows):
-            rows.append(d)
-            basis.append(tuple(d))
+    diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
+    basis = [diffs[k] for k in independent_rows(int_rows(diffs), len(base))]
     k = len(basis)
     mat = [list(col) for col in zip(*basis)] if basis else []
     out = []

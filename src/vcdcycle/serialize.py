@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cycle import BoundaryCertificate, CycleChain, TermProvenance
 from .exactq import q_parse, q_str
-from .sharbly import BasicSharbly, OrbitDictionary, SharblyChain, project_coinvariants
+from .sharbly import BasicSharbly, OrbitDictionary, SharblyChain, canonicalize, project_coinvariants
 
 
 def chain_to_json(chain: SharblyChain) -> list:
@@ -109,12 +109,17 @@ def _provenance_from_json(p, n: int) -> TermProvenance:
         raise ValueError(f"provenance weight must be a rational string, got {p['weight']!r}")
     if not _is_int(p["sign"]) or p["sign"] not in (1, -1):
         raise ValueError(f"provenance sign must be 1 or -1, got {p['sign']!r}")
+    basic = BasicSharbly(n, tuple(_int_vectors(p["vectors"])))
+    if any(len(v) != n for v in basic.vectors):
+        raise ValueError(f"provenance vectors must have length {n}, got {p['vectors']!r}")
+    if canonicalize(basic.vectors, n) != (1, basic):
+        raise ValueError(f"provenance vectors must be canonical, got {p['vectors']!r}")
     return TermProvenance(
         p["tile"],
         _labels(p["simplex"], "provenance simplex"),
         q_parse(p["weight"]),
         p["sign"],
-        BasicSharbly(n, tuple(_int_vectors(p["vectors"]))),
+        basic,
     )
 
 
@@ -123,9 +128,16 @@ def cycle_from_json(doc: dict) -> CycleChain:
         raise ValueError("a cycle must be an object with an integer n")
     n = doc["n"]
     raw = chain_from_json(doc["chain"])
+    if any(len(v) != n for item in doc["chain"] for v in item["vectors"]):
+        raise ValueError(f"chain vectors must have length {n}")
     if not isinstance(doc["provenance"], list):
         raise ValueError("cycle provenance must be a list")
     provenance = [_provenance_from_json(p, n) for p in doc["provenance"]]
+    total = SharblyChain()
+    for p in provenance:
+        total.add(p.basic, p.sign * p.weight)
+    if total != raw:
+        raise ValueError("the provenance terms sign * weight * symbol do not sum to the chain")
     orders = doc.get("stabilizer_orders", {})
     if not isinstance(orders, dict) or not all(_is_int(v) for v in orders.values()):
         raise ValueError("stabilizer_orders must map form names to integers")

@@ -6,11 +6,14 @@ vanishing of lists that do not span Q^n.  Chains carry rational
 coefficients.  Reduction modulo SL_n(Z) is realized by an orbit dictionary:
 representatives are found by a backtracking search over signed vector
 bijections, pruned by the invariant pairing of each vector list against the
-adjugate of its own covariance form.  The search runs over the integers:
-each candidate bijection gives g = B adj(A) / det(A), where the adjugate and
-determinant of the base matrix A are computed once per search, and is kept
-only when that division is exact and det g = 1.  Rationals (`Fraction`)
-appear only as chain coefficients.
+adjugate of its own covariance form.  The search is one integer pass:
+each candidate bijection of a base A (adjugate and determinant computed
+once per search) to images B is kept only when det B = det A, every
+B adj(A) a / det(A) is integral and lands on a distinct target, and
+g = B adj(A) / det(A) is integral.  The sign of g.a = s.b for canonical a
+and b is the parity of that bijection; `act`, which re-canonicalizes g's
+image, is left to the certificate checker.  Rationals (`Fraction`) appear
+only as chain coefficients.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactq import (
     Q,
+    independent_rows,
     int_adjugate,
     int_det,
-    int_rank,
     mat_vec_int,
     primitive_normalize,
     rank1_vec,
@@ -60,7 +64,7 @@ def canonicalize(vectors: Sequence[Sequence], n: Optional[int] = None):
         raise ValueError("vectors of mixed dimension")
     if len(set(vs)) != len(vs):
         return ZERO
-    if int_rank(vs) < n:
+    if len(independent_rows(vs, n)) < n:
         return ZERO
     order = sorted(range(len(vs)), key=lambda i: vs[i])
     sign = _perm_sign(order)
@@ -195,26 +199,18 @@ def invariant_key(vectors: Sequence[IntVector], n: int):
     return _pair_data(vs, n)[2]
 
 
-def _independent_base(vectors: Sequence[IntVector], n: int) -> list[int]:
-    base: list[int] = []
-    rows: list[IntVector] = []
-    for i, v in enumerate(vectors):
-        if int_rank(rows + [v]) > len(rows):
-            base.append(i)
-            rows.append(v)
-            if len(base) == n:
-                return base
-    raise ValueError("vectors do not span Q^n")
-
-
 def vector_set_maps(
     vs_a: Sequence[IntVector],
     vs_b: Sequence[IntVector],
     n: int,
-) -> Iterator[GroupElement]:
-    """All g in SL_n(Z) with g {±vs_a} = {±vs_b}, as matrix rows.
+) -> Iterator[tuple[GroupElement, int]]:
+    """All (g, s) with g in SL_n(Z) and g {±vs_a} = {±vs_b}; g as matrix rows.
 
-    Both inputs must be lists of distinct primitive vectors of equal length.
+    Both inputs must be lists of distinct primitive vectors of equal length
+    spanning Q^n, those of vs_b as `primitive_normalize` leaves them.  The
+    sign s is the parity of the bijection i -> j with g a_i = ±b_j between
+    the sorted lists a and b; for canonical inputs it is the s of
+    g.[a] = s.[b] (see `equivalences`).
     """
     vs_a = tuple(vs_a)
     vs_b = tuple(vs_b)
@@ -229,7 +225,9 @@ def vector_set_maps(
     sb = sorted(vs_b)
     b_index = {v: i for i, v in enumerate(sb)}
 
-    base = _independent_base(sa, n)
+    base = independent_rows(sa, n)
+    if len(base) < n:
+        raise ValueError("vectors do not span Q^n")
     cand = [
         [j for j in range(m) if rkb[j] == rka[i]]
         for i in base
@@ -239,14 +237,18 @@ def vector_set_maps(
     basecols = list(zip(*(sa[i] for i in base)))
     det_a = int_det(basecols)
     adj_a = int_adjugate(basecols)
+    adj_sa = [mat_vec_int(adj_a, v) for v in sa]  # g v = B adj(A) v / det(A)
 
     assign_j = [-1] * n
     assign_s = [0] * n
     used = set()
 
-    def backtrack(pos: int) -> Iterator[GroupElement]:
+    def backtrack(pos: int) -> Iterator[tuple[GroupElement, int]]:
         if pos == n:
-            yield from _complete(sa, sb, b_index, adj_a, det_a, assign_j, assign_s, n)
+            images = [[assign_s[k] * y for y in sb[assign_j[k]]] for k in range(n)]
+            hit = _complete(images, adj_a, adj_sa, det_a, b_index)
+            if hit is not None:
+                yield hit
             return
         k = order[pos]
         i = base[k]
@@ -283,56 +285,58 @@ def vector_set_maps(
     yield from backtrack(0)
 
 
-def _complete(sa, sb, b_index, adj_a, det_a, assign_j, assign_s, n):
-    images = [[assign_s[k] * y for y in sb[assign_j[k]]] for k in range(n)]
-    g_rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            x, rem = divmod(sum(images[k][r] * adj_a[k][c] for k in range(n)), det_a)
-            if rem:
-                return
-            row.append(x)
-        g_rows.append(tuple(row))
-    g = tuple(g_rows)
-    if int_det(g) != 1:
-        return
-    # verify the full set maps correctly
+def _complete(images, adj_a, adj_sa, det_a, b_index):
+    """(g, sign) for a leaf with base images B (rows of `images`), or None.
+    Tests det B = det A (det g = det B / det A), then that each g a_i is
+    integral and hits a new b_j (the bijection), then that g is integral."""
+    if int_det(images) != det_a:  # images as rows: det B^t = det B
+        return None
+    brows = list(zip(*images))
+    perm = []
     seen = set()
-    for v in sa:
-        w = mat_vec_int(g, v)
-        for x in w:
-            if x != 0:
-                if x < 0:
-                    w = tuple(-y for y in w)
-                else:
-                    w = tuple(w)
-                break
-        j = b_index.get(w)
+    for u in adj_sa:
+        w = []
+        for row in brows:
+            x, rem = divmod(sum(map(mul, row, u)), det_a)
+            if rem:
+                return None
+            w.append(x)
+        # w != 0: det B = det A != 0 makes g invertible
+        j = b_index.get(tuple(w) if next(x for x in w if x) > 0 else tuple(-x for x in w))
         if j is None or j in seen:
-            return
+            return None
         seen.add(j)
-    yield g
+        perm.append(j)
+    g_rows = []
+    for row in brows:
+        g_row = []
+        for col in zip(*adj_a):
+            x, rem = divmod(sum(map(mul, row, col)), det_a)
+            if rem:
+                return None
+            g_row.append(x)
+        g_rows.append(tuple(g_row))
+    return tuple(g_rows), _perm_sign(perm)
 
 
 def act(g: GroupElement, basic: BasicSharbly):
-    """g . basic, canonicalized: ZERO or (sign, BasicSharbly)."""
+    """g . basic, canonicalized: ZERO or (sign, BasicSharbly).  The
+    certificate checker's independent re-derivation of a witness's action."""
     return canonicalize([mat_vec_int(g, v) for v in basic.vectors], basic.n)
 
 
 def equivalences(
     a: BasicSharbly, b: BasicSharbly, want_sign: Optional[int] = None
 ) -> Iterator[tuple[GroupElement, int]]:
-    """All (g, s) with g.a = s.b in the sharbly module."""
+    """All (g, s) with g.a = s.b in the sharbly module, in search order.
+
+    a and b must be canonical (vectors sorted, as `canonicalize` and the
+    orbit dictionary give them): s is then the parity of the bijection
+    from a's vectors to b's that `vector_set_maps` reports.
+    """
     if a.n != b.n or len(a.vectors) != len(b.vectors):
         return
-    for g in vector_set_maps(a.vectors, b.vectors, a.n):
-        res = act(g, a)
-        if res is ZERO:
-            continue
-        sign, c = res
-        if c != b:
-            continue
+    for g, sign in vector_set_maps(a.vectors, b.vectors, a.n):
         if want_sign is None or sign == want_sign:
             yield g, sign
 

@@ -69,13 +69,12 @@ def normalize_to_section(v_prime: Sequence, n: Optional[int] = None) -> tuple[Q,
     the cone of nonzero positive semidefinite forms, unlike any single
     coordinate hyperplane.
     """
-    vec = tuple(as_q(x) for x in v_prime)
     if n is None:
-        n = _rank_from_veclen(len(vec))
-    t = vec_trace(vec, n)
+        n = _rank_from_veclen(len(v_prime))
+    t = vec_trace(v_prime, n)
     if t <= 0:
         raise ValueError("ray has nonpositive trace")
-    return tuple(x / t for x in vec)
+    return tuple(Q(x, t) for x in v_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def stabilizer(tile: Tile) -> list[GroupElement]:
     by the pairwise form values; every candidate matrix is verified to be
     integral with determinant one and to permute the rays.
     """
-    return sorted(vector_set_maps(tile.ray_vectors, tile.ray_vectors, tile.n))
+    return sorted(g for g, _ in vector_set_maps(tile.ray_vectors, tile.ray_vectors, tile.n))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,83 @@ def test_cli_cycle_verify_rejects_malformed_provenance(tmp_path, capsys, z2_doc,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _swap_first_two_vectors(doc):
+    vectors = doc["provenance"][0]["vectors"]
+    vectors[0], vectors[1] = vectors[1], vectors[0]
+    doc["provenance"][0]["sign"] *= -1  # the same symbol, listed out of order
+
+
+def _cancelling_unsorted_pair(doc):
+    """Two non-canonical provenance terms that cancel: the sum still matches."""
+    first = copy.deepcopy(doc["provenance"][0])
+    first["vectors"].reverse()
+    second = dict(first, sign=-first["sign"])
+    doc["provenance"] += [first, second]
+
+
+def _degree_zero(doc):
+    doc["chain"] = [{"vectors": [[0, 1], [1, 0]], "coeff": "1"}]
+    doc["provenance"] = []
+
+
+PROVENANCE_NOT_THE_CHAIN = {
+    "empty provenance": lambda d: d.__setitem__("provenance", []),
+    "degree 0, no provenance": _degree_zero,
+    "n 4, 2-vectors": lambda d: d.__setitem__("n", 4),
+    "n 1": lambda d: d.__setitem__("n", 1),
+    "provenance vector length": lambda d: d["provenance"][0]["vectors"][0].append(0),
+    "chain vector length": lambda d: d["chain"][0]["vectors"][0].append(0),
+    "vanishing chain term of length 3": lambda d: d["chain"].append(
+        {"vectors": [[1, 0, 0], [0, 1, 0]], "coeff": "1"}),
+    "unsorted provenance": _swap_first_two_vectors,
+    "cancelling unsorted pair": _cancelling_unsorted_pair,
+    "non-primitive provenance": lambda d: d["provenance"][0]["vectors"].__setitem__(0, [2, 0]),
+    "repeated provenance vector": lambda d: d["provenance"][0]["vectors"].__setitem__(
+        1, list(d["provenance"][0]["vectors"][0])),
+    "provenance sign": lambda d: d["provenance"][0].__setitem__("sign", -d["provenance"][0]["sign"]),
+    "provenance weight": lambda d: d["provenance"][0].__setitem__("weight", "1/7"),
+    "chain coefficient": lambda d: d["chain"][0].__setitem__("coeff", "1/7"),
+}
+
+
+@pytest.mark.parametrize("command", [["cycle", "verify"], ["cocycle", "certify"]])
+@pytest.mark.parametrize("mutate", PROVENANCE_NOT_THE_CHAIN.values(), ids=PROVENANCE_NOT_THE_CHAIN)
+def test_cli_cycle_rejects_provenance_that_is_not_the_chain(
+    tmp_path, capsys, z2_doc, command, mutate
+):
+    doc = copy.deepcopy(z2_doc)
+    mutate(doc)
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(doc))
+    assert cli.main(command + ["--in", str(z), "--cert", str(tmp_path / "c.json")]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "valid" not in out.out
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_cycle_from_json_accepts_reordered_and_moved_provenance():
+    """The rank-4 cycle with its provenance reversed, and moved by some g in
+    SL_4(Z) (chain vectors as g maps them, provenance re-canonicalized)."""
+    from vcdcycle.exactq import int_det, mat_vec_int
+    from vcdcycle.sharbly import canonicalize
+
+    doc = ser.cycle_to_json(cy.build_zG(4))
+    z = ser.cycle_from_json(doc)
+    doc["provenance"].reverse()
+    assert ser.cycle_from_json(doc).raw == z.raw
+    g = ((1, 1, 0, 0), (0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 1))
+    assert int_det(g) == 1
+    for item in doc["chain"]:
+        item["vectors"] = [list(mat_vec_int(g, v)) for v in item["vectors"]]
+    for p in doc["provenance"]:
+        sign, basic = canonicalize([mat_vec_int(g, v) for v in p["vectors"]], 4)
+        p["sign"] *= sign
+        p["vectors"] = [list(v) for v in basic.vectors]
+    moved = ser.cycle_from_json(doc)
+    assert len(moved.raw) == len(z.raw)
+    assert sorted(abs(c) for c in moved.coin.values()) == sorted(abs(c) for c in z.coin.values())
+
+
 BAD_RATIONALS = ["1/0", "-3/0", 1.5, True, "0.5", "1/-2", " 1", [1]]
 
 

@@ -6,7 +6,7 @@ import pytest
 from vcdcycle import cosharbly as co
 from vcdcycle import cycle as cy
 from vcdcycle.exactq import affine_dim, mat_vec_int
-from vcdcycle.sharbly import BasicSharbly, canonicalize
+from vcdcycle.sharbly import ZERO, BasicSharbly, canonicalize
 
 
 def a2_section():
@@ -122,3 +122,33 @@ def test_positivity_rejects_flipon_only_chain():
     z.coin = {cls: F(1)}
     cert = co.mu_sign_certificate(z)
     assert not cert.valid
+
+
+def _old_section_point(vec, n):
+    """The trace-1 scaling as it was first written: Fraction entries, a
+    Fraction trace, one division per entry."""
+    vec = [F(x) for x in vec]
+    t = sum(vec[i * n - i * (i - 1) // 2] for i in range(n))
+    return tuple(x / t for x in vec)
+
+
+def test_section_points_equal_the_trace_normalization():
+    from vcdcycle.exactq import rank1_vec
+    from vcdcycle.voronoi import normalize_to_section
+
+    rng = random.Random(21)
+    checked = 0
+    for n in (2, 3, 4):
+        for _ in range(30):
+            vs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n + 2)]
+            res = canonicalize([v for v in vs if any(v)], n)
+            if res is ZERO:
+                continue
+            basic = res[1]
+            want = tuple(_old_section_point(rank1_vec(v), n) for v in basic.vectors)
+            assert co.section_points(basic) == want
+            checked += 1
+            # a rational multiple of a ray
+            ray = [F(rng.randint(1, 5), rng.randint(1, 4)) * x for x in rank1_vec(basic.vectors[0])]
+            assert normalize_to_section(ray, n) == _old_section_point(ray, n)
+    assert checked >= 60
