@@ -141,11 +141,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_triangulations_enumerate(args) -> int:
     geom = _facet_config(args)
-    try:
-        tris = pt.enumerate_regular_triangulations(geom.config, budget=args.budget_nodes)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    tris = pt.enumerate_regular_triangulations(geom.config, budget=args.budget_nodes)
     print(f"{len(tris)} regular triangulations")
     if args.out:
         _write_json(args.out, [ser.triangulation_to_json(t) for t in tris])
@@ -175,21 +171,17 @@ def _flip_payload(config, flips_with_certs):
     return {"points": ser.points_to_json(config.points), "flips": entries}
 
 
-def _load_pair(args):
+def _flip_path(args):
+    """The facet geometry and a flip path between the pair in --in."""
+    geom = _facet_config(args)
     doc = _read_json(args.infile)
     t1 = ser.triangulation_from_json(doc["first"])
     t2 = ser.triangulation_from_json(doc["second"])
-    return t1, t2
+    return geom, pt.flip_path(geom.config, t1, t2, budget=args.budget_nodes)
 
 
 def cmd_flip_path(args) -> int:
-    geom = _facet_config(args)
-    t1, t2 = _load_pair(args)
-    try:
-        path = pt.flip_path(geom.config, t1, t2, budget=args.budget_nodes)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    _, path = _flip_path(args)
     print(f"flip path of length {len(path)}")
     for f in path:
         print(f"  circuit {sorted(f.circuit.labels)}")
@@ -209,13 +201,7 @@ def cmd_flip_path(args) -> int:
 
 
 def cmd_flip_verify(args) -> int:
-    geom = _facet_config(args)
-    t1, t2 = _load_pair(args)
-    try:
-        path = pt.flip_path(geom.config, t1, t2, budget=args.budget_nodes)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    geom, path = _flip_path(args)
     pairs = []
     for f in path:
         cert = pt.verify_flip_identity(geom.config, f)
@@ -398,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(fp, form=True, facet=True, infile=True, budget=True)
     fp.set_defaults(fn=cmd_flip_path)
     fv = flip.add_parser("verify")
-    add_common(fv, form=True, facet=True, infile=True, cert=True, budget=True)
+    add_common(fv, form=True, facet=True, infile=True, out=False, cert=True, budget=True)
     fv.set_defaults(fn=cmd_flip_verify)
 
     shb = sub.add_parser("sharbly").add_subparsers(dest="action", required=True)
@@ -415,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(cb)
     cb.set_defaults(fn=cmd_cycle_build)
     cv = cyc.add_parser("verify")
-    add_common(cv, infile=True, cert=True)
+    add_common(cv, infile=True, out=False, cert=True)
     cv.set_defaults(fn=cmd_cycle_verify)
     cr = cyc.add_parser("remark-an")
     cr.add_argument("--n", type=int, required=True)
@@ -424,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coc = sub.add_parser("cocycle").add_subparsers(dest="action", required=True)
     cc = coc.add_parser("certify")
-    add_common(cc, infile=True, cert=True)
+    add_common(cc, infile=True, out=False, cert=True)
     cc.set_defaults(fn=cmd_cocycle_certify)
 
     cert = sub.add_parser("cert").add_subparsers(dest="action", required=True)
@@ -448,6 +434,9 @@ def main(argv=None) -> int:
     try:
         _check_writable(args)
         return args.fn(args)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

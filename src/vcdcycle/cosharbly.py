@@ -91,7 +91,7 @@ class PositivityCertificate:
 def mu_sign_certificate(z) -> PositivityCertificate:
     """Classify each coinvariant term of a cycle chain.
 
-    Flipon terms contribute nothing; every other term must have
+    Terms that are flipons contribute nothing; every other term must have
     coefficient times orientation sign positive.
     """
     verdicts = []

@@ -5,34 +5,30 @@ oriented top simplices over one regular triangulation per tile orbit.  Its
 boundary is certified to vanish in the coinvariants by an explicit ledger:
 interior walls cancel in pairs, the remaining facet terms cancel in
 group-orbit accounts with integer matrix witnesses, and self-negating
-classes carry their own negation witness.  The flip machinery converts a
-mismatch of facet triangulations into flipon chains and cones error terms
-off a fixed vector.
+classes carry their own negation witness.  `facet_geometry` gives the
+section configuration of a tile face, on which the rank-5 triangulations
+and flips are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import data
-from .cosharbly import is_flipon
-from .exactq import Q, int_matrix_inverse, int_rank, mat_vec_int, primitive_normalize
-from .polytope import PointConfiguration, flip_path, verify_flip_identity
+from .exactq import Q, int_matrix_inverse
+from .polytope import PointConfiguration
 from .sharbly import (
     BasicSharbly,
     GroupElement,
     OrbitClass,
     OrbitDictionary,
     SharblyChain,
-    ZERO,
     boundary_basic,
-    canonicalize,
     sharbly_of_cone,
-    vector_set_maps,
 )
-from .voronoi import Tile, section_configuration, tile_facets
+from .voronoi import Tile, section_configuration
 
 
 @dataclass(frozen=True)
@@ -239,116 +235,7 @@ def verify_boundary_zero(z: CycleChain) -> BoundaryCertificate:
 
 
 # ---------------------------------------------------------------------------
-# facet machinery
-
-
-def _label_map(tile: Tile) -> dict[tuple[int, ...], int]:
-    return {primitive_normalize(v): i for i, v in enumerate(tile.ray_vectors)}
-
-
-def phi_by_facet(tiles: Sequence[tuple[Tile, Iterable]]):
-    """Boundary terms of tile triangulations after interior cancellation,
-    grouped by the facet containing each term.
-
-    Returns {(tile name, facet label frozenset): [(coefficient, basic)]}.
-    """
-    out: dict[tuple[str, frozenset], list] = {}
-    for tile, triangulation in tiles:
-        lmap = _label_map(tile)
-        facets = [f for f, _ in tile_facets(tile)]
-        collected: dict[BasicSharbly, Q] = {}
-        for simplex in triangulation:
-            rays = [tile.ray_vectors[i] for i in sorted(simplex)]
-            sign, basic = sharbly_of_cone(rays, tile.orientation)
-            for face_basic, c in boundary_basic(basic).terms.items():
-                cur = collected.get(face_basic, Q(0)) + c * sign
-                if cur == 0:
-                    collected.pop(face_basic, None)
-                else:
-                    collected[face_basic] = cur
-        for face_basic, coeff in collected.items():
-            labels = frozenset(lmap[v] for v in face_basic.vectors)
-            homes = [f for f in facets if labels <= f]
-            if not homes:
-                raise AssertionError("uncancelled interior boundary term")
-            if len(homes) != 1:
-                raise AssertionError("boundary term lies in two facets")
-            key = (tile.form.name, homes[0])
-            out.setdefault(key, []).append((coeff, face_basic))
-    return out
-
-
-@dataclass(frozen=True)
-class FacetMatch:
-    tile: str
-    facet: frozenset
-    partner_tile: str
-    partner_facet: frozenset
-    witness: GroupElement  # maps the partner facet's rays onto the facet's
-
-
-def match_facets(tiles: Sequence[Tile]) -> list[FacetMatch]:
-    """For every facet of every tile, a second tile meeting it.
-
-    Finds g in SL_n(Z) carrying a facet of the partner tile onto the facet
-    with g . partner-tile different from the original tile; reports an
-    error when some facet stays unmatched.
-    """
-    n = tiles[0].n
-    tile_ray_sets = {
-        t.form.name: frozenset(primitive_normalize(v) for v in t.ray_vectors)
-        for t in tiles
-    }
-    all_facets = {t.form.name: [f for f, _ in tile_facets(t)] for t in tiles}
-    matches = []
-    for tile in tiles:
-        own_rays = tile_ray_sets[tile.form.name]
-        for facet in all_facets[tile.form.name]:
-            fvecs = [primitive_normalize(tile.ray_vectors[i]) for i in sorted(facet)]
-            found = None
-            for other in tiles:
-                for ofacet in all_facets[other.form.name]:
-                    ovecs = [
-                        primitive_normalize(other.ray_vectors[i])
-                        for i in sorted(ofacet)
-                    ]
-                    if len(ovecs) != len(fvecs):
-                        continue
-                    for g, _ in vector_set_maps(ovecs, fvecs, n):
-                        image = frozenset(
-                            primitive_normalize(mat_vec_int(g, v))
-                            for v in other.ray_vectors
-                        )
-                        if not (
-                            other.form.name == tile.form.name and image == own_rays
-                        ):
-                            found = FacetMatch(
-                                tile.form.name, facet, other.form.name, ofacet, g
-                            )
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found is None:
-                raise ValueError(
-                    f"facet {sorted(facet)} of {tile.form.name} has no partner tile"
-                )
-            matches.append(found)
-    return matches
-
-
-# ---------------------------------------------------------------------------
-# flipons
-
-
-@dataclass(frozen=True)
-class Flipon:
-    """A degenerate top symbol: circuit vectors first, then the cone labels."""
-
-    vectors: tuple[tuple[int, ...], ...]
-    circuit_size: int
-    provenance: tuple
+# facet sections
 
 
 @dataclass(frozen=True)
@@ -363,121 +250,6 @@ def facet_geometry(tile: Tile, facet_labels: Iterable[int]) -> FacetGeometry:
     labels = tuple(sorted(facet_labels))
     config, orig = section_configuration(tile, labels)
     return FacetGeometry(tile, labels, config, tuple(orig))
-
-
-def flipons_for_facet(geom: FacetGeometry, tri_a, tri_b) -> list[Flipon]:
-    """Flipons converting one regular facet triangulation into another.
-
-    One flipon per (flip, link facet); each is verified degenerate, its
-    vectors span, and the alternating-sum identity of its flip holds.
-    """
-    tri_a = frozenset(frozenset(s) for s in tri_a)
-    tri_b = frozenset(frozenset(s) for s in tri_b)
-    path = flip_path(geom.config, tri_a, tri_b)
-    tile = geom.tile
-    n = tile.n
-    d = n * (n + 1) // 2
-    out: list[Flipon] = []
-    for step, flip in enumerate(path):
-        cert = verify_flip_identity(geom.config, flip)
-        if not cert.valid:
-            raise AssertionError("flip identity failed")
-        circuit_local = sorted(flip.circuit.labels)
-        for link_facet, e in cert.signs:
-            local = list(circuit_local) + list(link_facet)
-            vectors = tuple(
-                primitive_normalize(tile.ray_vectors[geom.tile_labels[i]])
-                for i in local
-            )
-            if len(vectors) != d:
-                raise AssertionError("flipon does not have d vectors")
-            if int_rank(vectors) != n:
-                raise AssertionError("flipon vectors fail to span")
-            basic = BasicSharbly(n, vectors)
-            if not is_flipon(basic):
-                raise AssertionError("flip produced a non-degenerate symbol")
-            out.append(
-                Flipon(
-                    vectors,
-                    len(circuit_local),
-                    (geom.tile.form.name, tuple(geom.facet_labels), step, e),
-                )
-            )
-    return out
-
-
-def secondary_flipons(
-    terms: Sequence[Flipon], x: Sequence[int]
-) -> tuple[SharblyChain, SharblyChain]:
-    """Cone the error sum of flipon terms off the fixed vector x.
-
-    Returns (coned chain, error chain): the coned chain sums, over terms
-    and positions j past each circuit, (-1)^j [x, v_1, ..., v_j hat, ...,
-    v_d]; every summand is checked to be a flipon.  The error chain is the
-    same sum without x.
-    """
-    x = primitive_normalize(x)
-    omega = SharblyChain()
-    psi = SharblyChain()
-    for t in terms:
-        d = len(t.vectors)
-        p = t.circuit_size
-        for j in range(p + 1, d + 1):  # 1-based positions past the circuit
-            sub = t.vectors[: j - 1] + t.vectors[j:]
-            coeff = (-1) ** j
-            psi.add_symbol(sub, coeff)
-            coned = (x,) + sub
-            res = canonicalize(coned)
-            if res is not ZERO:
-                _, cbasic = res
-                if not is_flipon(cbasic):
-                    raise ValueError("coned summand is not a flipon")
-            omega.add_symbol(coned, coeff)
-    return omega, psi
-
-
-def cone_chain(x: Sequence[int], chain: SharblyChain) -> SharblyChain:
-    """[x, -] applied term by term."""
-    x = primitive_normalize(x)
-    out = SharblyChain()
-    for basic, coeff in chain.terms.items():
-        out.add_symbol((x,) + basic.vectors, coeff)
-    return out
-
-
-def omega_error_parts(terms: Sequence[Flipon]) -> tuple[SharblyChain, SharblyChain, SharblyChain]:
-    """The three double-deletion sums whose coned images control the cone's
-    boundary: circuit-side deletions, both-past-circuit deletions with
-    i < j, and with i > j."""
-    part1 = SharblyChain()
-    part2 = SharblyChain()
-    part3 = SharblyChain()
-    for t in terms:
-        d = len(t.vectors)
-        p = t.circuit_size
-        for j in range(p + 1, d + 1):
-            for i in range(1, p + 1):
-                sub = tuple(
-                    v
-                    for k, v in enumerate(t.vectors, start=1)
-                    if k != i and k != j
-                )
-                part1.add_symbol(sub, (-1) ** (i + j))
-            for i in range(p + 1, j):
-                sub = tuple(
-                    v
-                    for k, v in enumerate(t.vectors, start=1)
-                    if k != i and k != j
-                )
-                part2.add_symbol(sub, (-1) ** (i + j))
-            for i in range(j + 1, d + 1):
-                sub = tuple(
-                    v
-                    for k, v in enumerate(t.vectors, start=1)
-                    if k != i and k != j
-                )
-                part3.add_symbol(sub, (-1) ** (i + j - 1))
-    return part1, part2, part3
 
 
 # ---------------------------------------------------------------------------

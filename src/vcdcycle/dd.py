@@ -10,19 +10,9 @@ tight sets, with a popcount prefilter.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
-from .exactq import independent_rows, int_adjugate, int_det
-
-
-def _reduce(v: list[int]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        v = [x // g for x in v]
-    return tuple(v)
+from .exactq import _row_reduce_content, independent_rows, int_det_adjugate
 
 
 def _initial_basis(rows: Sequence[Sequence[int]], d: int) -> list[int]:
@@ -40,9 +30,11 @@ def _solve_initial_rays(rows: Sequence[Sequence[int]], idx: list[int]) -> list[t
     up to the sign of its determinant.
     """
     a = [list(rows[i]) for i in idx]
-    sign = 1 if int_det(a) > 0 else -1
-    adj = int_adjugate(a)
-    return [_reduce([sign * row[j] for row in adj]) for j in range(len(a))]
+    det, adj = int_det_adjugate(a)
+    sign = 1 if det > 0 else -1
+    return [
+        tuple(_row_reduce_content([sign * row[j] for row in adj])) for j in range(len(a))
+    ]
 
 
 def extreme_rays(constraints: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
@@ -92,7 +84,7 @@ def extreme_rays(constraints: Sequence[Sequence[int]]) -> list[tuple[tuple[int, 
                     if not _adjacent(common, mp, mn, all_masks):
                         continue
                     comb = [vp * x - vn * y for x, y in zip(rn, rp)]
-                    r_new = _reduce(comb)
+                    r_new = tuple(_row_reduce_content(comb))
                     mask = 0
                     for pos2, cj in enumerate(processed):
                         if _dot(rows[cj], r_new) == 0:

@@ -6,9 +6,10 @@ the integers: rational rows are first scaled to primitive integer rows, and
 every elimination step is the one fraction-free (Bareiss) `pivot`, whose
 divisions are exact and whose entries stay minors of the input, so
 coefficient growth is polynomial at the sizes we care about (matrices up to
-roughly 20 x 20).  `fractions.Fraction` appears only at the edges: rational
-input is accepted, and results such as solutions and kernel vectors are
-read off the integer tableau as `Fraction(x, p)`.
+roughly 20 x 20).  The adjugate, too, is read off one `pivot` elimination.
+`fractions.Fraction` appears only at the edges: rational input is accepted,
+and results such as solutions and kernel vectors are read off the integer
+tableau as `Fraction(x, p)`.
 """
 
 from __future__ import annotations
@@ -106,19 +107,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
             arow[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def int_adjugate(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Adjugate of a square integer matrix: adj(a) a = a adj(a) = det(a) I."""
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
-            out[j][i] = (-1) ** (i + j) * int_det(minor)
-    return out
 
 
 def _row_reduce_content(row: Sequence[int]) -> Sequence[int]:
@@ -220,6 +208,23 @@ def _gauss_jordan(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     return a, pivots, prev
 
 
+def int_det_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det(a), adj(a)) of a nonsingular square integer matrix, with
+    adj(a) a = a adj(a) = det(a) I; a singular one raises ValueError.
+
+    `_gauss_jordan` on [a | I] leaves [p I | R] with R = p a^-1 and
+    p = +-det(a), so adj(a) = (det(a) // p) R.
+    """
+    n = len(a)
+    det = int_det(a)
+    if det == 0:
+        raise ValueError("adjugate of a singular matrix")
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    red, _, p = _gauss_jordan(rows)
+    s = det // p
+    return det, [[s * x for x in r[n:]] for r in red]
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -308,13 +313,8 @@ def rank1_vec(v: Sequence[int]) -> IntVector:
     return tuple(v[i] * v[j] for i in range(n) for j in range(i, n))
 
 
-def sym_vec(rows: Sequence[Sequence]) -> Vector:
-    n = len(rows)
-    return tuple(as_q(rows[i][j]) for i in range(n) for j in range(i, n))
-
-
 def vec_sym(vec: Sequence, n: int) -> list[list[Q]]:
-    """Inverse of sym_vec: symmetric n x n matrix rows from coordinates."""
+    """Symmetric n x n matrix rows from upper-triangle coordinates."""
     m = [[Q(0)] * n for _ in range(n)]
     k = 0
     for i in range(n):
@@ -370,7 +370,7 @@ def mat_vec_int(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
 
 def int_matrix_inverse(a: Sequence[Sequence[int]]) -> tuple:
     """Inverse of an integer matrix with determinant +-1."""
-    d = int_det(a)
+    d, adj = int_det_adjugate(a)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * x for x in row) for row in int_adjugate(a))
+    return tuple(tuple(d * x for x in row) for row in adj)

@@ -1,7 +1,7 @@
 """Exact combinatorics of rational point configurations.
 
-Convex hull facets, placing and lifted triangulations, regularity
-witnesses, circuits with their sign partitions, bistellar flips, and the
+Convex hull facets, placing triangulations, regularity witnesses,
+circuits with their sign partitions, bistellar flips, and the
 antisymmetrized gluing identities that relate a flip to the difference of
 the two triangulations it connects.  All geometry is exact: validity is
 decided by integer orientation signs, and regularity comes with rational
@@ -10,21 +10,21 @@ witnesses.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lp
 from .dd import cone_facets
 from .exactq import (
-    Q, as_q, independent_rows, int_det, int_rank, int_rows, nullspace, primitive_normalize,
+    Q, independent_rows, int_det, int_rank, int_rows, nullspace, primitive_normalize,
     solve, vec_q,
 )
 from .sharbly import AntisymSum
 
-Simplex = frozenset  # of point labels
-Triangulation = frozenset  # of Simplex
+Triangulation = frozenset  # of frozensets of point labels
 LiftingHeights = dict  # label -> Fraction
 
 
@@ -171,8 +171,7 @@ def convex_hull_facets(config: PointConfiguration):
     configuration, with equality exactly on the facet's points.
     """
     _require_full_dim(config)
-    facets = cone_facets(_homog(config))
-    return [(tight, normal) for tight, normal in facets]
+    return cone_facets(_homog(config))
 
 
 def _boundary_faces(triangulation: Triangulation) -> dict:
@@ -345,35 +344,6 @@ def is_regular(
     return {i: sol[i] for i in range(nlab)}
 
 
-def lift_triangulation(config: PointConfiguration, heights) -> Triangulation:
-    """Lower-hull triangulation induced by generic heights."""
-    _require_full_dim(config)
-    pts = config._int_points
-    m = config.ambient_dim
-    hs = [as_q(heights[i]) for i in config.labels]
-    l = lcm(*(h.denominator for h in hs))
-    hint = [int(h * l) for h in hs]
-    lifted = [(1,) + p + (hint[i],) for i, p in enumerate(pts)]
-    base = lifted[0]
-    diffs = [[x - y for x, y in zip(q, base)] for q in lifted[1:]]
-    if int_rank(diffs) == m:  # affine heights: flat lift
-        if len(config.points) == m + 1:
-            return frozenset({frozenset(config.labels)})
-        raise DegenerateConfiguration("heights are not generic")
-    facets = cone_facets(lifted)
-    tri = set()
-    for tight, normal in facets:
-        if normal[-1] <= 0:  # not a lower facet
-            continue
-        if len(tight) != m + 1:
-            raise DegenerateConfiguration("heights are not generic")
-        tri.add(frozenset(tight))
-    result = frozenset(tri)
-    if sum(abs(_simplex_det(config, s)) for s in result) != hull_volume_scaled(config):
-        raise DegenerateConfiguration("heights are not generic")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # circuits and flips
 
@@ -508,26 +478,47 @@ def _canon_tri(tri: Triangulation) -> tuple:
     return tuple(sorted(tuple(sorted(s)) for s in tri))
 
 
+def _regular_flip_search(
+    config: PointConfiguration, start: Triangulation, budget: int, what: str
+) -> Iterator[tuple[tuple, Triangulation, tuple, Flip]]:
+    """Breadth-first search over the regular triangulations that flips
+    connect to the regular `start`.
+
+    Yields (key, triangulation, parent key, flip) once for each one newly
+    reached, in visit order (keys are `_canon_tri`).  After each yield the
+    triangulation is queued, and once more than `budget` are known, the
+    start included, BudgetExceeded is raised: a caller that stops at the
+    yield never meets that test.
+    """
+    start_key = _canon_tri(start)
+    seen = {start_key}
+    queue = deque([(start_key, start)])
+    while queue:
+        key, cur = queue.popleft()
+        for f in supported_flips(config, cur):
+            nxt = (cur - f.removed) | f.inserted
+            nkey = _canon_tri(nxt)
+            if nkey in seen:
+                continue
+            if is_regular(config, nxt, check=False) is None:
+                continue
+            seen.add(nkey)
+            yield nkey, nxt, key, f
+            queue.append((nkey, nxt))
+            if len(seen) > budget:
+                raise BudgetExceeded(f"{what} budget exceeded")
+
+
 def enumerate_regular_triangulations(
     config: PointConfiguration, budget: int = 10000
 ) -> list[Triangulation]:
     """All regular triangulations: flip closure from a placing start."""
     start, _ = placing_triangulation(config)
     found = {_canon_tri(start): start}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for f in supported_flips(config, cur):
-            nxt = (cur - f.removed) | f.inserted
-            key = _canon_tri(nxt)
-            if key in found:
-                continue
-            if is_regular(config, nxt, check=False) is None:
-                continue
-            found[key] = nxt
-            queue.append(nxt)
-            if len(found) > budget:
-                raise BudgetExceeded("triangulation enumeration budget exceeded")
+    for key, tri, _, _ in _regular_flip_search(
+        config, start, budget, "triangulation enumeration"
+    ):
+        found[key] = tri
     return [found[k] for k in sorted(found)]
 
 
@@ -542,33 +533,16 @@ def flip_path(
             raise ValueError("endpoint triangulation is not regular")
     if t1 == t2:
         return []
-    start = _canon_tri(t1)
     target = _canon_tri(t2)
-    parents: dict[tuple, Optional[tuple]] = {start: None}
-    tris = {start: t1}
-    queue = [start]
-    while queue:
-        key = queue.pop(0)
-        cur = tris[key]
-        for f in supported_flips(config, cur):
-            nxt = (cur - f.removed) | f.inserted
-            nkey = _canon_tri(nxt)
-            if nkey in parents:
-                continue
-            if is_regular(config, nxt, check=False) is None:
-                continue
-            parents[nkey] = (key, f)
-            tris[nkey] = nxt
-            if nkey == target:
-                path = []
-                k = nkey
-                while parents[k] is not None:
-                    k, f = parents[k]
-                    path.append(f)
-                return list(reversed(path))
-            queue.append(nkey)
-            if len(parents) > budget:
-                raise BudgetExceeded("flip path budget exceeded")
+    parents: dict[tuple, tuple] = {}
+    for key, _, parent, f in _regular_flip_search(config, t1, budget, "flip path"):
+        parents[key] = (parent, f)
+        if key == target:
+            path = []
+            while key in parents:
+                key, f = parents[key]
+                path.append(f)
+            return path[::-1]
     raise ValueError("no flip path found between the triangulations")
 
 

@@ -27,8 +27,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .exactq import (
     Q,
     independent_rows,
-    int_adjugate,
     int_det,
+    int_det_adjugate,
     mat_vec_int,
     primitive_normalize,
     rank1_vec,
@@ -92,48 +92,43 @@ def _perm_sign(perm: Sequence[int]) -> int:
 # chains
 
 
-class SharblyChain:
-    """Formal Q-linear combination of canonical basic sharblies."""
+class _FormalSum:
+    """Formal Q-linear combination: canonical key -> nonzero coefficient.
+
+    Subclasses turn their symbols into keys; the arithmetic here only adds
+    coefficients and drops zeros.  Sums of different classes never compare
+    equal.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[dict[BasicSharbly, Q]] = None):
-        self.terms: dict[BasicSharbly, Q] = dict(terms or {})
+    def __init__(self, terms: Optional[dict] = None):
+        self.terms: dict = dict(terms or {})
 
-    def add(self, basic: BasicSharbly, coeff) -> None:
-        c = self.terms.get(basic, Q(0)) + coeff
+    def _add_term(self, key, coeff) -> None:
+        c = self.terms.get(key, Q(0)) + coeff
         if c == 0:
-            self.terms.pop(basic, None)
+            self.terms.pop(key, None)
         else:
-            self.terms[basic] = c
+            self.terms[key] = c
 
-    def add_symbol(self, vectors: Sequence[Sequence], coeff) -> None:
-        res = canonicalize(vectors)
-        if res is ZERO:
-            return
-        sign, basic = res
-        self.add(basic, sign * Fraction(coeff))
-
-    def __add__(self, other: "SharblyChain") -> "SharblyChain":
-        out = SharblyChain(self.terms)
-        for b, c in other.terms.items():
-            out.add(b, c)
+    def __add__(self, other):
+        out = type(self)(self.terms)
+        for k, c in other.terms.items():
+            out._add_term(k, c)
         return out
 
-    def __sub__(self, other: "SharblyChain") -> "SharblyChain":
-        out = SharblyChain(self.terms)
-        for b, c in other.terms.items():
-            out.add(b, -c)
-        return out
+    def __sub__(self, other):
+        return self + other.scale(-1)
 
-    def scale(self, a) -> "SharblyChain":
+    def scale(self, a):
         a = Fraction(a)
         if a == 0:
-            return SharblyChain()
-        return SharblyChain({b: c * a for b, c in self.terms.items()})
+            return type(self)()
+        return type(self)({k: c * a for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SharblyChain) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,16 +137,39 @@ class SharblyChain:
         return len(self.terms)
 
     def __repr__(self) -> str:
-        return f"SharblyChain({len(self.terms)} terms)"
+        return f"{type(self).__name__}({len(self.terms)} terms)"
+
+
+class SharblyChain(_FormalSum):
+    """Formal Q-linear combination of canonical basic sharblies."""
+
+    __slots__ = ()
+
+    add = _FormalSum._add_term  # (basic, coeff): basic must be canonical
+
+    def add_symbol(self, vectors: Sequence[Sequence], coeff) -> None:
+        res = canonicalize(vectors)
+        if res is ZERO:
+            return
+        sign, basic = res
+        self.add(basic, sign * Fraction(coeff))
 
 
 def boundary_basic(basic: BasicSharbly) -> SharblyChain:
+    """Boundary of a canonical basic sharbly (vectors primitive, normalized,
+    sorted and distinct, as `canonicalize` leaves them).
+
+    Dropping one vector keeps such a list canonical with sign +1, so each
+    face goes in as it is when it spans Q^n, and vanishes otherwise.
+    """
     if basic.degree < 1:
         raise ValueError("boundary is defined for degree >= 1")
     out = SharblyChain()
-    vs = basic.vectors
+    n, vs = basic.n, basic.vectors
     for i in range(len(vs)):
-        out.add_symbol(vs[:i] + vs[i + 1 :], (-1) ** i)  # (-1)^{i+1}, 1-based
+        face = vs[:i] + vs[i + 1 :]
+        if len(independent_rows(face, n)) == n:
+            out.add(BasicSharbly(n, face), (-1) ** i)  # (-1)^{i+1}, 1-based
     return out
 
 
@@ -179,8 +197,7 @@ def _pair_data(vectors: tuple[IntVector, ...], n: int):
         for i in range(n):
             for j in range(n):
                 s[i][j] += v[i] * v[j]
-    dets = int_det(s)
-    adj = int_adjugate(s)
+    dets, adj = int_det_adjugate(s)
     m = len(vectors)
     av = [mat_vec_int(adj, v) for v in vectors]
     npair = [[sum(x * y for x, y in zip(av[i], vectors[j])) for j in range(m)]
@@ -235,8 +252,7 @@ def vector_set_maps(
     order = sorted(range(n), key=lambda k: len(cand[k]))
     # g takes the base columns A to the chosen signed images B: g = B adj(A) / det(A)
     basecols = list(zip(*(sa[i] for i in base)))
-    det_a = int_det(basecols)
-    adj_a = int_adjugate(basecols)
+    det_a, adj_a = int_det_adjugate(basecols)
     adj_sa = [mat_vec_int(adj_a, v) for v in sa]  # g v = B adj(A) v / det(A)
 
     assign_j = [-1] * n
@@ -475,43 +491,17 @@ def antisym_term(points: Sequence[Point]) -> Optional[tuple[int, tuple[Point, ..
     return _perm_sign(order), tuple(pts[i] for i in order)
 
 
-class AntisymSum:
+class AntisymSum(_FormalSum):
     """Formal Q-sum of antisymmetrized point tuples."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict] = None):
-        self.terms: dict[tuple[Point, ...], Q] = dict(terms or {})
+    __slots__ = ()
 
     def add(self, points: Sequence[Point], coeff) -> None:
         t = antisym_term(points)
         if t is None:
             return
         sign, key = t
-        c = self.terms.get(key, Q(0)) + sign * Fraction(coeff)
-        if c == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = c
-
-    def __add__(self, other: "AntisymSum") -> "AntisymSum":
-        out = AntisymSum(self.terms)
-        for k, c in other.terms.items():
-            cc = out.terms.get(k, Q(0)) + c
-            if cc == 0:
-                out.terms.pop(k, None)
-            else:
-                out.terms[k] = cc
-        return out
-
-    def scale(self, a) -> "AntisymSum":
-        a = Fraction(a)
-        if a == 0:
-            return AntisymSum()
-        return AntisymSum({k: c * a for k, c in self.terms.items()})
-
-    def __sub__(self, other: "AntisymSum") -> "AntisymSum":
-        return self + other.scale(-1)
+        self._add_term(key, sign * Fraction(coeff))
 
     def boundary(self) -> "AntisymSum":
         out = AntisymSum()
@@ -519,12 +509,3 @@ class AntisymSum:
             for i in range(len(key)):
                 out.add(key[:i] + key[i + 1 :], (-1) ** i * coeff)
         return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AntisymSum) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"AntisymSum({len(self.terms)} terms)"

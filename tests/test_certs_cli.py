@@ -6,7 +6,9 @@ import pytest
 from vcdcycle import certs
 from vcdcycle import cli
 from vcdcycle import cycle as cy
+from vcdcycle import polytope as pt
 from vcdcycle import serialize as ser
+from vcdcycle import voronoi as vr
 from vcdcycle.cosharbly import mu_sign_certificate
 
 
@@ -355,6 +357,44 @@ def test_cli_budget_exceeded(tmp_path):
         ]
     )
     assert rc == 3
+
+
+def test_cli_flip_path_budget_exceeded(tmp_path, capsys):
+    # two placing triangulations of a 13-ray section of the D5 tile, two
+    # flips apart: the first regular triangulation the search reaches is
+    # not the target, and already exceeds a budget of one
+    labels = (0, 2, 5, 7, 8, 10, 11, 12, 13, 14, 16, 18, 19)
+    config = cy.facet_geometry(vr.builtin_tile("D5"), labels).config
+    order = [9, 7, 3, 4, 11, 2, 10, 5, 12, 8, 0, 1, 6]
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "first": ser.triangulation_to_json(pt.placing_triangulation(config, return_witness=False)),
+        "second": ser.triangulation_to_json(
+            pt.placing_triangulation(config, order=order, return_witness=False)
+        ),
+    }))
+    argv = ["flip", "path", "--form", "D5", "--facet", ",".join(map(str, labels)), "--in", str(pair)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("flip path of length 2\n")
+    assert cli.main(argv + ["--budget-nodes", "1"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: flip path budget exceeded\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flip", "verify", "--form", "A3", "--facet", "0,1,2,3,4", "--in", "pair.json"],
+        ["cycle", "verify", "--in", "z.json"],
+        ["cocycle", "certify", "--in", "z.json"],
+    ],
+)
+def test_cli_rejects_out_where_nothing_is_written(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_repro_subset(capsys):

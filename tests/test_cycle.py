@@ -3,11 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from vcdcycle import cycle as cy
-from vcdcycle import data
 from vcdcycle import polytope as pt
 from vcdcycle import voronoi as vr
 from vcdcycle.exactq import int_det
-from vcdcycle.sharbly import boundary, canonicalize
+from vcdcycle.sharbly import canonicalize
 
 
 def test_build_z2_closed_form():
@@ -42,95 +41,6 @@ def test_boundary_certificates_small():
             assert account.kind == "self-negating"
             for tid, contrib, g, sign, w in account.members:
                 assert int_det(g) == 1 and int_det(w) == 1
-
-
-def test_phi_by_facet_a2():
-    tile = vr.builtin_tile("A2")
-    phi = cy.phi_by_facet([(tile, [frozenset({0, 1, 2})])])
-    assert len(phi) == 3
-    assert all(len(v) == 1 for v in phi.values())
-
-
-def test_phi_by_facet_d4_single_simplex_groups():
-    tile = vr.builtin_tile("D4")
-    tri = [frozenset(s) for s in data.D4_TRIANGULATION]
-    phi = cy.phi_by_facet([(tile, tri)])
-    facets = vr.tile_facets(tile)
-    assert len(phi) == len(facets)
-    assert all(len(v) == 1 for v in phi.values())
-    # interior-cancellation count check: 16 simplices x 10 faces, walls paired
-    total_terms = sum(len(v) for v in phi.values())
-    assert 16 * 10 - total_terms == 2 * ((16 * 10 - len(facets)) // 2)
-
-
-def test_match_facets_rank2():
-    tile = vr.builtin_tile("A2")
-    matches = cy.match_facets([tile])
-    assert len(matches) == 3
-    assert all(m.partner_tile == "A2" for m in matches)
-    for m in matches:
-        assert int_det(m.witness) == 1
-
-
-def test_match_facets_rank4_a4_partners():
-    tiles = [vr.builtin_tile("A4"), vr.builtin_tile("D4")]
-    matches = cy.match_facets(tiles)
-    a4 = [m for m in matches if m.tile == "A4"]
-    assert len(a4) == 10
-    assert all(m.partner_tile == "D4" for m in a4)
-
-
-def test_flipons_for_facet_trivial():
-    tile = vr.builtin_tile("D4")
-    facet = sorted(next(iter(vr.tile_facets(tile)))[0])
-    geom = cy.facet_geometry(tile, facet)
-    tri = pt.placing_triangulation(geom.config, return_witness=False)
-    assert cy.flipons_for_facet(geom, tri, tri) == []
-
-
-SYNTH = cy.Flipon(
-    ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 1)),
-    4,
-    ("synthetic",),
-)
-
-
-def test_secondary_flipons_empty():
-    omega, psi = cy.secondary_flipons([], (1, 0, 0))
-    assert omega.is_zero() and psi.is_zero()
-
-
-def test_secondary_flipons_synthetic():
-    from vcdcycle.cosharbly import is_flipon
-
-    x = (0, 1, 1)  # not among the flipon's vectors
-    omega, psi = cy.secondary_flipons([SYNTH], x)
-    assert len(omega.terms) == 2  # one per position past the circuit
-    for basic in omega.terms:
-        assert is_flipon(basic)
-
-
-def test_omega_boundary_decomposition():
-    x = (0, 1, 1)
-    omega, psi = cy.secondary_flipons([SYNTH], x)
-    one, two, three = cy.omega_error_parts([SYNTH])
-    rhs = psi + cy.cone_chain(x, one) + cy.cone_chain(x, two) + cy.cone_chain(x, three)
-    assert boundary(omega) == rhs
-    assert (two + three).is_zero()
-
-
-def test_paired_terms_cancel_coned_error():
-    # two mirrored flipon terms: the error sums pair off, so the coned
-    # chain's boundary collapses to the (vanishing) error chain
-    mirrored = cy.Flipon(
-        (SYNTH.vectors[1], SYNTH.vectors[0]) + SYNTH.vectors[2:], 4, ("mirror",)
-    )
-    one, two, three = cy.omega_error_parts([SYNTH, mirrored])
-    assert one.is_zero() and (two + three).is_zero()
-    x = (0, 1, 1)
-    omega, psi = cy.secondary_flipons([SYNTH, mirrored], x)
-    assert psi.is_zero()
-    assert boundary(omega).is_zero()
 
 
 def test_an_remark_contrast():

@@ -106,7 +106,7 @@ def test_symmetric_vectorization():
     assert eq.vec_trace((1, -1, 1), 2) == 2
     m = eq.vec_sym((1, -1, 1), 2)
     assert m == [[1, -1], [-1, 1]]
-    assert eq.sym_vec(m) == (1, -1, 1)
+    assert tuple(m[i][j] for i in range(2) for j in range(i, 2)) == (1, -1, 1)
     # pairing row computes v^t Y v
     y = (F(2), F(1), F(2))  # [[2,1],[1,2]]
     assert eq.quad_value(y, (1, -1), 2) == 2
@@ -136,15 +136,48 @@ def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-@settings(max_examples=60)
+def cofactor_adjugate(a):
+    """adj(a) by n^2 cofactor determinants: the oracle for `int_det_adjugate`."""
+    n = len(a)
+    if n == 1:
+        return [[1]]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
+            out[j][i] = (-1) ** (i + j) * eq.int_det(minor)
+    return out
+
+
+@settings(max_examples=80)
 @given(st.integers(1, 5), st.randoms(use_true_random=False))
-def test_int_adjugate_times_matrix_is_det(n, rng):
+def test_int_det_adjugate_matches_cofactors(n, rng):
     a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
     d = eq.int_det(a)
+    if d == 0:
+        with pytest.raises(ValueError):
+            eq.int_det_adjugate(a)
+        return
+    det, adj = eq.int_det_adjugate(a)
+    assert (det, adj) == (d, cofactor_adjugate(a))
     scalar = tuple(tuple(d * x for x in row) for row in _identity(n))
-    adj = eq.int_adjugate(a)
     assert eq.mat_mul_int(adj, a) == scalar
     assert eq.mat_mul_int(a, adj) == scalar
+
+
+def test_int_det_adjugate_singular_raises():
+    for a in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError):
+            eq.int_det_adjugate(a)
+
+
+def test_int_det_adjugate_on_the_d5_initial_dd_subsystem():
+    from vcdcycle import dd, voronoi as vr
+
+    rows = [eq.pairing_row(v) for v in vr.builtin_tile("D5").ray_vectors]
+    a = [list(rows[i]) for i in dd._initial_basis(rows, len(rows[0]))]
+    assert len(a) == 15
+    assert eq.int_det_adjugate(a) == (eq.int_det(a), cofactor_adjugate(a))
 
 
 @settings(max_examples=40)

@@ -12,7 +12,9 @@ import pytest
 
 from vcdcycle import exactq as eq
 from vcdcycle import sharbly as sh
-from vcdcycle.exactq import int_adjugate, int_det, mat_mul_int, mat_vec_int
+from vcdcycle.exactq import int_det, mat_mul_int, mat_vec_int
+
+from test_exactq import cofactor_adjugate
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -95,7 +97,7 @@ def oracle_vector_set_maps(vs_a, vs_b, n):
     cand = [[j for j in range(m) if rkb[j] == rka[i]] for i in base]
     order = sorted(range(n), key=lambda k: len(cand[k]))
     basecols = list(zip(*(sa[i] for i in base)))
-    det_a, adj_a = int_det(basecols), int_adjugate(basecols)
+    det_a, adj_a = int_det(basecols), cofactor_adjugate(basecols)
     assign_j, assign_s, used = [-1] * n, [0] * n, set()
 
     def backtrack(pos):

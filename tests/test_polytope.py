@@ -1,9 +1,42 @@
 import random
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from vcdcycle import polytope as pt
-from vcdcycle.exactq import mat_vec_int
+from vcdcycle.dd import cone_facets
+from vcdcycle.exactq import as_q, int_rank, mat_vec_int
 from vcdcycle.sharbly import AntisymSum
+
+
+def lift_triangulation(config, heights):
+    """Lower-hull triangulation induced by generic heights: the oracle for
+    `is_regular`'s witnesses."""
+    pt._require_full_dim(config)
+    pts = config._int_points
+    m = config.ambient_dim
+    hs = [as_q(heights[i]) for i in config.labels]
+    l = lcm(*(h.denominator for h in hs))
+    hint = [int(h * l) for h in hs]
+    lifted = [(1,) + p + (hint[i],) for i, p in enumerate(pts)]
+    base = lifted[0]
+    diffs = [[x - y for x, y in zip(q, base)] for q in lifted[1:]]
+    if int_rank(diffs) == m:  # affine heights: flat lift
+        if len(config.points) == m + 1:
+            return frozenset({frozenset(config.labels)})
+        raise pt.DegenerateConfiguration("heights are not generic")
+    tri = set()
+    for tight, normal in cone_facets(lifted):
+        if normal[-1] <= 0:  # not a lower facet
+            continue
+        if len(tight) != m + 1:
+            raise pt.DegenerateConfiguration("heights are not generic")
+        tri.add(frozenset(tight))
+    result = frozenset(tri)
+    if sum(abs(pt._simplex_det(config, s)) for s in result) != pt.hull_volume_scaled(config):
+        raise pt.DegenerateConfiguration("heights are not generic")
+    return result
 
 
 def square():
@@ -84,24 +117,24 @@ def test_placing_simplex_any_order():
     for order in ([0, 1, 2], [2, 0, 1]):
         tri, h = pt.placing_triangulation(cfg, order=order)
         assert tri == frozenset({frozenset({0, 1, 2})})
-        assert pt.lift_triangulation(cfg, h) == tri
+        assert lift_triangulation(cfg, h) == tri
 
 
 def test_placing_square_is_a_diagonal():
     tri, heights = pt.placing_triangulation(square())
     assert tri in (DIAG_02, DIAG_13)
-    assert pt.lift_triangulation(square(), heights) == tri
+    assert lift_triangulation(square(), heights) == tri
 
 
 def test_lift_square_separating_height():
-    tri = pt.lift_triangulation(square(), {0: 0, 1: 0, 2: 0, 3: 1})
+    tri = lift_triangulation(square(), {0: 0, 1: 0, 2: 0, 3: 1})
     assert tri == DIAG_02  # wall keeps the lifted corner on its own side
     assert 3 not in set().union(*[s for s in tri if len(s) < 3] or [set()])
 
 
 def test_lift_rejects_non_generic():
     with pytest.raises(pt.DegenerateConfiguration):
-        pt.lift_triangulation(square(), {0: 0, 1: 0, 2: 0, 3: 0})
+        lift_triangulation(square(), {0: 0, 1: 0, 2: 0, 3: 0})
 
 
 def test_is_valid_triangulation():
@@ -117,7 +150,7 @@ def test_is_regular_square():
     for tri in (DIAG_02, DIAG_13):
         h = pt.is_regular(square(), tri)
         assert h is not None
-        assert pt.lift_triangulation(square(), h) == tri
+        assert lift_triangulation(square(), h) == tri
 
 
 def test_is_regular_rejects_invalid():
@@ -240,3 +273,105 @@ def test_project_to_affine_span():
         frozenset({0, 3}),
         frozenset({1, 2}),
     }
+
+
+# ---------------------------------------------------------------------------
+# the two flip searches against the separate searches they replaced
+
+
+def oracle_enumerate(config, budget=10000):
+    start, _ = pt.placing_triangulation(config)
+    found = {pt._canon_tri(start): start}
+    queue = [start]
+    while queue:
+        cur = queue.pop(0)
+        for f in pt.supported_flips(config, cur):
+            nxt = (cur - f.removed) | f.inserted
+            key = pt._canon_tri(nxt)
+            if key in found:
+                continue
+            if pt.is_regular(config, nxt, check=False) is None:
+                continue
+            found[key] = nxt
+            queue.append(nxt)
+            if len(found) > budget:
+                raise pt.BudgetExceeded("triangulation enumeration budget exceeded")
+    return [found[k] for k in sorted(found)]
+
+
+def oracle_flip_path(config, t1, t2, budget=10000):
+    t1 = frozenset(frozenset(s) for s in t1)
+    t2 = frozenset(frozenset(s) for s in t2)
+    for t in (t1, t2):
+        if pt.is_regular(config, t, check=False) is None:
+            raise ValueError("endpoint triangulation is not regular")
+    if t1 == t2:
+        return []
+    start, target = pt._canon_tri(t1), pt._canon_tri(t2)
+    parents = {start: None}
+    tris = {start: t1}
+    queue = [start]
+    while queue:
+        key = queue.pop(0)
+        cur = tris[key]
+        for f in pt.supported_flips(config, cur):
+            nxt = (cur - f.removed) | f.inserted
+            nkey = pt._canon_tri(nxt)
+            if nkey in parents:
+                continue
+            if pt.is_regular(config, nxt, check=False) is None:
+                continue
+            parents[nkey] = (key, f)
+            tris[nkey] = nxt
+            if nkey == target:
+                path = []
+                k = nkey
+                while parents[k] is not None:
+                    k, f = parents[k]
+                    path.append(f)
+                return list(reversed(path))
+            queue.append(nkey)
+            if len(parents) > budget:
+                raise pt.BudgetExceeded("flip path budget exceeded")
+    raise ValueError("no flip path found between the triangulations")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (pt.BudgetExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _search_cases(seed, count):
+    """Criterion-6 style configurations: up to 8 small integer points in
+    dimension 2 or 3, with two placing triangulations."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        dim = rng.choice((2, 3))
+        npts = rng.randint(dim + 2, 8 if dim == 2 else 7)
+        pts = [tuple(Fraction(rng.randint(0, 4)) for _ in range(dim)) for _ in range(npts)]
+        if len(set(pts)) != npts:
+            continue
+        config = pt.PointConfiguration.from_points(pts)
+        try:
+            t_a = pt.placing_triangulation(config, return_witness=False)
+            order = rng.sample(range(npts), npts)
+            t_b = pt.placing_triangulation(config, order=order, return_witness=False)
+        except pt.DegenerateConfiguration:
+            continue
+        cases.append((config, t_a, t_b))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flip_searches_match_the_separate_searches(seed):
+    for config, t_a, t_b in _search_cases(seed, 4):
+        for budget in (1, 2, 3, 10000):
+            assert _outcome(pt.enumerate_regular_triangulations, config, budget) == _outcome(
+                oracle_enumerate, config, budget
+            )
+            assert _outcome(pt.flip_path, config, t_a, t_b, budget) == _outcome(
+                oracle_flip_path, config, t_a, t_b, budget
+            )

@@ -242,3 +242,33 @@ def test_antisym_sum():
     b = s.boundary()
     assert len(b.terms) == 3
     assert b.boundary().is_zero()
+    # the arithmetic shared with SharblyChain keeps the kind
+    t = sh.AntisymSum()
+    t.add([q, p, r], 2)  # -2 [p, q, r]
+    assert type(s + t) is sh.AntisymSum and s + t == s.scale(-1)
+    assert (s - s).is_zero() and s.scale(0) == sh.AntisymSum()
+    assert repr(t) == "AntisymSum(1 terms)"
+    assert sh.AntisymSum() != sh.SharblyChain()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_boundary_basic_matches_the_canonicalizing_path(n):
+    # the oracle sends every face back through add_symbol -> canonicalize
+    rng = random.Random(n)
+    tested = 0
+    while tested < 60:
+        degree = rng.randint(1, 3)
+        vs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + degree)]
+        if any(not any(v) for v in vs):
+            continue
+        res = sh.canonicalize(vs)
+        if res is sh.ZERO:
+            continue
+        _, basic = res
+        tested += 1
+        oracle = sh.SharblyChain()
+        for i in range(len(basic.vectors)):
+            oracle.add_symbol(basic.vectors[:i] + basic.vectors[i + 1 :], (-1) ** i)
+        got = sh.boundary_basic(basic)
+        assert list(got.terms.items()) == list(oracle.terms.items())
+
