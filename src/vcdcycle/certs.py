@@ -197,28 +197,34 @@ def _check_triangulation(payload: dict) -> tuple[bool, str]:
 
 
 def _check_flip_identity(payload: dict) -> tuple[bool, str]:
-    from .sharbly import AntisymSum
+    from .polytope import (
+        PointConfiguration,
+        circuit_link_sum,
+        oriented_difference,
+        simplex_orientation,
+    )
     from .serialize import points_from_json
 
-    points = points_from_json(payload["points"])
+    config = PointConfiguration.from_points(points_from_json(payload["points"]))
     for flip_entry in payload["flips"]:
         circuit = [int(x) for x in flip_entry["circuit"]]
-        p = len(circuit)
         for entry in flip_entry["links"]:
             link = [int(x) for x in entry["link"]]
             e = int(entry["e"])
             if e not in (1, -1):
                 return False, "identity sign must be +-1"
-            lhs = AntisymSum()
-            for i in range(p):
-                tup = [points[l] for l in circuit[:i] + circuit[i + 1 :] + link]
-                lhs.add(tup, e * (-1) ** (i + 1))
-            rhs = AntisymSum()
-            for s in entry["removed"]:
-                rhs.add([points[int(l)] for l in s["labels"]], int(s["orientation"]))
-            for s in entry["inserted"]:
-                rhs.add([points[int(l)] for l in s["labels"]], -int(s["orientation"]))
-            if lhs != rhs:
+            sides = []
+            for side in ("removed", "inserted"):
+                listed = [([int(l) for l in s["labels"]], int(s["orientation"]))
+                          for s in entry[side]]
+                for labels, o in listed:
+                    # the orientation is that of the labels in ascending order
+                    if labels != sorted(labels):
+                        return False, "simplex labels not ascending"
+                    if o == 0 or simplex_orientation(config, labels) != o:
+                        return False, "simplex orientation mismatch"
+                sides.append(listed)
+            if circuit_link_sum(circuit, link, e) != oriented_difference(*sides):
                 return False, "flip identity fails"
     return True, "flip identity certificate valid"
 

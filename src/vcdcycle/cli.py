@@ -116,7 +116,8 @@ def _facet_config(args):
 
 def cmd_triangulate(args) -> int:
     geom = _facet_config(args)
-    tri, heights = pt.placing_triangulation(geom.config)
+    tri = pt.placing_triangulation(geom.config)
+    heights = pt.is_regular(geom.config, tri)
     doc = {
         "form": args.form,
         "labels": list(geom.tile_labels),
@@ -148,25 +149,17 @@ def cmd_triangulations_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _flip_payload(config, flips_with_certs):
+def _flip_payload(config, path):
+    def simplices(oriented):
+        return [{"labels": list(s), "orientation": o} for s, o in oriented]
+
     entries = []
-    for flip, cert in flips_with_certs:
-        links = []
-        for link, e in cert.signs:
-            link_set = frozenset(link)
-            removed = [
-                {"labels": sorted(s), "orientation": pt.simplex_orientation(config, s)}
-                for s in sorted(flip.removed, key=sorted)
-                if s - flip.circuit.labels == link_set
-            ]
-            inserted = [
-                {"labels": sorted(s), "orientation": pt.simplex_orientation(config, s)}
-                for s in sorted(flip.inserted, key=sorted)
-                if s - flip.circuit.labels == link_set
-            ]
-            links.append(
-                {"link": list(link), "e": e, "removed": removed, "inserted": inserted}
-            )
+    for flip in path:
+        links = [
+            {"link": list(l.link), "e": l.e,
+             "removed": simplices(l.removed), "inserted": simplices(l.inserted)}
+            for l in pt.verify_flip_identity(config, flip)
+        ]
         entries.append({"circuit": sorted(flip.circuit.labels), "links": links})
     return {"points": ser.points_to_json(config.points), "flips": entries}
 
@@ -175,6 +168,8 @@ def _flip_path(args):
     """The facet geometry and a flip path between the pair in --in."""
     geom = _facet_config(args)
     doc = _read_json(args.infile)
+    if not (isinstance(doc, dict) and "first" in doc and "second" in doc):
+        raise ValueError("a flip pair is an object with 'first' and 'second'")
     t1 = ser.triangulation_from_json(doc["first"])
     t2 = ser.triangulation_from_json(doc["second"])
     return geom, pt.flip_path(geom.config, t1, t2, budget=args.budget_nodes)
@@ -202,14 +197,7 @@ def cmd_flip_path(args) -> int:
 
 def cmd_flip_verify(args) -> int:
     geom, path = _flip_path(args)
-    pairs = []
-    for f in path:
-        cert = pt.verify_flip_identity(geom.config, f)
-        if not cert.valid:
-            print("flip identity failed", file=sys.stderr)
-            return EXIT_INVALID
-        pairs.append((f, cert))
-    payload = _flip_payload(geom.config, pairs)
+    payload = _flip_payload(geom.config, path)
     cert_doc = certs.make_certificate("flip-identity", payload, payload["points"])
     if args.cert:
         _write_json(args.cert, cert_doc)

@@ -71,7 +71,7 @@ def default_triangulation(tile: Tile) -> list[frozenset]:
     from .polytope import placing_triangulation
 
     config, orig = section_configuration(tile)
-    tri = placing_triangulation(config, return_witness=False)
+    tri = placing_triangulation(config)
     return [frozenset(orig[i] for i in s) for s in tri]
 
 

@@ -179,18 +179,22 @@ def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _gauss_jordan(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Integer Gauss-Jordan on `pivot`, in place: (rows, pivot columns, p).
+def _gauss_jordan(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Integer Gauss-Jordan on `pivot`, in place: (rows, pivot columns, p,
+    parity of the row swaps as +-1).
 
     Every pivot entry ends equal to p, so rows / p is the reduced row
     echelon form, which is unique whatever the pivot rows chosen; the
-    smallest nonzero entry of each column is taken.
+    smallest nonzero entry of each column is taken.  When the pivot
+    columns are the first k, p is the leading k x k minor of the rows as
+    swapped.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     pivots: list[int] = []
     prev = 1
     row = 0
+    parity = 1
     for col in range(n):
         best = None
         for i in range(row, m):
@@ -199,30 +203,32 @@ def _gauss_jordan(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
                 best = i
         if best is None:
             continue
-        a[row], a[best] = a[best], a[row]
+        if best != row:
+            a[row], a[best] = a[best], a[row]
+            parity = -parity
         prev = pivot(a, row, col, prev)
         pivots.append(col)
         row += 1
         if row == m:
             break
-    return a, pivots, prev
+    return a, pivots, prev, parity
 
 
 def int_det_adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(det(a), adj(a)) of a nonsingular square integer matrix, with
     adj(a) a = a adj(a) = det(a) I; a singular one raises ValueError.
 
-    `_gauss_jordan` on [a | I] leaves [p I | R] with R = p a^-1 and
-    p = +-det(a), so adj(a) = (det(a) // p) R.
+    `_gauss_jordan` on [a | I] pivots on the columns of a exactly when a is
+    nonsingular, and then leaves [p I | R] with R = p a^-1 and p the
+    determinant of a with its rows swapped: det(a) = parity * p and
+    adj(a) = parity * R.
     """
     n = len(a)
-    det = int_det(a)
-    if det == 0:
-        raise ValueError("adjugate of a singular matrix")
     rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    red, _, p = _gauss_jordan(rows)
-    s = det // p
-    return det, [[s * x for x in r[n:]] for r in red]
+    red, pivots, p, parity = _gauss_jordan(rows)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("adjugate of a singular matrix")
+    return parity * p, [[parity * x for x in r[n:]] for r in red]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,7 @@ def solve(m, rhs: Sequence) -> Optional[Vector]:
     if len(rhs) != len(m):
         raise ValueError("shape mismatch")
     n = len(m[0]) if m else 0
-    red, pivots, p = _gauss_jordan([_clear_row(list(r) + [b]) for r, b in zip(m, rhs)])
+    red, pivots, p, _ = _gauss_jordan([_clear_row(list(r) + [b]) for r, b in zip(m, rhs)])
     if n in pivots:
         return None  # pivot in the rhs column: inconsistent
     x = [Q(0)] * n
@@ -252,7 +258,7 @@ def nullspace(m) -> list[Vector]:
     if not m:
         return []
     n = len(m[0])
-    red, pivots, p = _gauss_jordan([_clear_row(r) for r in m])
+    red, pivots, p, _ = _gauss_jordan([_clear_row(r) for r in m])
     basis = []
     for f in range(n):
         if f in pivots:

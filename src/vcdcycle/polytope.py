@@ -5,7 +5,9 @@ circuits with their sign partitions, bistellar flips, and the
 antisymmetrized gluing identities that relate a flip to the difference of
 the two triangulations it connects.  All geometry is exact: validity is
 decided by integer orientation signs, and regularity comes with rational
-witnesses.
+witnesses.  A configuration's points are distinct, so its labels name
+them one to one; circuits, flips and their identities are stated on labels
+(De Loera, Rambau, Santos, *Triangulations*, Ch. 4).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
 from .dd import cone_facets
@@ -38,7 +40,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Labeled exact points; label i is position i."""
+    """Labeled distinct exact points; label i is position i."""
 
     ambient_dim: int
     points: tuple[tuple[Q, ...], ...]
@@ -51,6 +53,8 @@ class PointConfiguration:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("points of mixed ambient dimension")
+        if len(set(pts)) != len(pts):
+            raise ValueError("repeated point in configuration")
         return PointConfiguration(dim, pts)
 
     @property
@@ -72,7 +76,7 @@ class PointConfiguration:
 
     @cached_property
     def _hull_volume(self) -> int:
-        tri = placing_triangulation(self, return_witness=False)
+        tri = placing_triangulation(self)
         return sum(abs(_simplex_det(self, s)) for s in tri)
 
     @cached_property
@@ -95,20 +99,14 @@ class Flip:
     """Exchange of the two triangulations of a circuit inside a larger one.
 
     `link` is the set of label sets coned onto the circuit simplices; the
-    removed simplices are exactly {(Z - w) | L : w in removed_part, L in
-    link} and the inserted ones use the opposite part.
+    removed simplices are exactly {(Z - w) | L : w in one part of the
+    circuit, L in link} and the inserted ones use the opposite part.
     """
 
     circuit: Circuit
-    removed_part: frozenset
     removed: Triangulation
     inserted: Triangulation
     link: frozenset  # of frozensets of labels outside the circuit
-
-    @property
-    def inserted_part(self) -> frozenset:
-        parts = (self.circuit.positive_part, self.circuit.negative_part)
-        return parts[1] if self.removed_part == parts[0] else parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +183,11 @@ def _boundary_faces(triangulation: Triangulation) -> dict:
 
 
 def placing_triangulation(
-    config: PointConfiguration,
-    order: Optional[Sequence[int]] = None,
-    return_witness: bool = True,
-):
+    config: PointConfiguration, order: Optional[Sequence[int]] = None
+) -> Triangulation:
     """Triangulation by placing points in the given label order.
 
-    Regular by construction; when `return_witness` is set, a witness
-    height vector is also returned.
+    Regular by construction; `is_regular` gives its witness heights.
     """
     _require_full_dim(config)
     pts = config._int_points
@@ -220,13 +215,7 @@ def placing_triangulation(
             if _side(config, face, i) * _side(config, face, apex) < 0:
                 new_simplices.append(face | {i})
         tri.update(new_simplices)
-    result = frozenset(tri)
-    if not return_witness:
-        return result
-    witness = is_regular(config, result, check=False)
-    if witness is None:
-        raise AssertionError("placing triangulation has no height witness")
-    return result, witness
+    return frozenset(tri)
 
 
 def hull_volume_scaled(config: PointConfiguration) -> int:
@@ -311,17 +300,15 @@ def _barycentric(config: PointConfiguration, simplex: Sequence[int], label: int)
     return dict(zip(labels, sol))
 
 
-def is_regular(
-    config: PointConfiguration, triangulation, check: bool = True
-) -> Optional[LiftingHeights]:
+def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHeights]:
     """Witness heights when the triangulation is regular, else None.
 
-    The witness lifts every point strictly above the affine span of every
-    lifted simplex it does not belong to (scaled to a margin of 1).
+    The triangulation is assumed valid (`is_valid_triangulation`); the
+    answer on any other set of simplices means nothing.  The witness lifts
+    every point strictly above the affine span of every lifted simplex it
+    does not belong to (scaled to a margin of 1).
     """
     tri = [frozenset(s) for s in triangulation]
-    if check and not is_valid_triangulation(config, tri):
-        raise ValueError("not a valid triangulation")
     nlab = len(config.points)
     rows = []
     rhs = []
@@ -420,7 +407,7 @@ def _flip_from_circuit(
         )
         if any(_simplex_det(config, s) == 0 for s in inserted):
             continue
-        return Flip(z, part, removed, inserted, link)
+        return Flip(z, removed, inserted, link)
     return None
 
 
@@ -500,7 +487,7 @@ def _regular_flip_search(
             nkey = _canon_tri(nxt)
             if nkey in seen:
                 continue
-            if is_regular(config, nxt, check=False) is None:
+            if is_regular(config, nxt) is None:
                 continue
             seen.add(nkey)
             yield nkey, nxt, key, f
@@ -513,7 +500,7 @@ def enumerate_regular_triangulations(
     config: PointConfiguration, budget: int = 10000
 ) -> list[Triangulation]:
     """All regular triangulations: flip closure from a placing start."""
-    start, _ = placing_triangulation(config)
+    start = placing_triangulation(config)
     found = {_canon_tri(start): start}
     for key, tri, _, _ in _regular_flip_search(
         config, start, budget, "triangulation enumeration"
@@ -525,11 +512,17 @@ def enumerate_regular_triangulations(
 def flip_path(
     config: PointConfiguration, t1, t2, budget: int = 10000
 ) -> list[Flip]:
-    """A shortest flip sequence from t1 to t2 through regular triangulations."""
+    """A shortest flip sequence from t1 to t2 through regular triangulations.
+
+    Raises ValueError unless both endpoints are valid, regular
+    triangulations.
+    """
     t1 = frozenset(frozenset(s) for s in t1)
     t2 = frozenset(frozenset(s) for s in t2)
     for t in (t1, t2):
-        if is_regular(config, t, check=False) is None:
+        if not is_valid_triangulation(config, t):
+            raise ValueError("endpoint is not a valid triangulation")
+        if is_regular(config, t) is None:
             raise ValueError("endpoint triangulation is not regular")
     if t1 == t2:
         return []
@@ -550,73 +543,81 @@ def flip_path(
 # gluing identities
 
 
-@dataclass(frozen=True)
-class FlipIdentityCertificate:
-    """Verified relation between a flip and its triangulation difference.
+class LinkIdentity(NamedTuple):
+    """The flip identity on one link facet L, with circuit z_1 < ... < z_p:
+    `circuit_link_sum(z, L, e)` equals the oriented sum of `removed` minus
+    that of `inserted`, the flip's simplices whose labels outside the
+    circuit are L, each listed (sorted labels, orientation)."""
 
-    Per link facet L, with circuit z_1 < ... < z_p, the alternating partial
-    sum e_L * sum_i (-1)^i (z_1, ..., ^z_i, ..., z_p, L) equals the oriented
-    removed-minus-inserted sum of the simplices joined with L.
-    """
-
-    signs: tuple[tuple[tuple[int, ...], int], ...]  # (sorted link facet, e)
-    valid: bool
+    link: tuple[int, ...]  # sorted
+    e: int
+    removed: tuple[tuple[tuple[int, ...], int], ...]
+    inserted: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _oriented_sum(config: PointConfiguration, simplices) -> AntisymSum:
+def circuit_link_sum(circuit: Sequence[int], link: Sequence[int], e: int) -> AntisymSum:
+    """e * sum_i (-1)^(i+1) (z_1, ..., ^z_i, ..., z_p, L) over the circuit
+    labels in the given order, each tuple joined with the link labels L."""
+    z, link = list(circuit), list(link)
     out = AntisymSum()
-    for s in simplices:
-        labels = sorted(s)
-        sign = simplex_orientation(config, labels)
-        if sign == 0:
-            raise ValueError("degenerate simplex")
-        out.add([config.points[i] for i in labels], sign)
+    for i in range(len(z)):
+        out.add(z[:i] + z[i + 1 :] + link, e * (-1) ** (i + 1))
     return out
 
 
-def verify_flip_identity(config: PointConfiguration, flip: Flip) -> FlipIdentityCertificate:
-    """Check the alternating-sum identity of a flip, link facet by link facet."""
-    zlabels = sorted(flip.circuit.labels)
-    p = len(zlabels)
-    signs = []
-    ok = True
-    for link_facet in sorted(flip.link, key=sorted):
-        lf = sorted(link_facet)
-        lhs = AntisymSum()
-        for i in range(p):
-            tup = [config.points[l] for l in zlabels[:i] + zlabels[i + 1 :] + lf]
-            lhs.add(tup, (-1) ** (i + 1))
-        removed = [s for s in flip.removed if s - flip.circuit.labels == link_facet]
-        inserted = [s for s in flip.inserted if s - flip.circuit.labels == link_facet]
-        rhs = _oriented_sum(config, removed) - _oriented_sum(config, inserted)
+def _oriented(config: PointConfiguration, simplices) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The simplices as (sorted labels, orientation), in sorted order."""
+    out = []
+    for s in sorted(tuple(sorted(s)) for s in simplices):
+        sign = simplex_orientation(config, s)
+        if sign == 0:
+            raise ValueError("degenerate simplex")
+        out.append((s, sign))
+    return tuple(out)
+
+
+def oriented_difference(removed, inserted) -> AntisymSum:
+    """The sum of o * s over the (labels s, orientation o) in `removed`,
+    minus the same sum over `inserted`."""
+    out = AntisymSum()
+    for simplices, sign in ((removed, 1), (inserted, -1)):
+        for s, o in simplices:
+            out.add(s, sign * o)
+    return out
+
+
+def verify_flip_identity(config: PointConfiguration, flip: Flip) -> list[LinkIdentity]:
+    """The alternating-sum identity of a flip, link facet by link facet
+    (sorted); raises ValueError where it fails for both signs e."""
+    z = flip.circuit.labels
+    out = []
+    for facet in sorted(flip.link, key=sorted):
+        removed, inserted = (
+            _oriented(config, [s for s in simplices if s - z == facet])
+            for simplices in (flip.removed, flip.inserted)
+        )
+        link = tuple(sorted(facet))
+        lhs = circuit_link_sum(sorted(z), link, 1)
+        rhs = oriented_difference(removed, inserted)
         if lhs == rhs:
-            signs.append((tuple(lf), 1))
+            e = 1
         elif lhs.scale(-1) == rhs:
-            signs.append((tuple(lf), -1))
+            e = -1
         else:
-            ok = False
-            break
-    if not ok:
-        raise ValueError("flip identity fails for both signs")
-    return FlipIdentityCertificate(tuple(signs), True)
+            raise ValueError("flip identity fails for both signs")
+        out.append(LinkIdentity(link, e, removed, inserted))
+    return out
 
 
 def triangulation_difference(config: PointConfiguration, t1, t2) -> AntisymSum:
     """Oriented simplex sum of t1 minus that of t2."""
-    return _oriented_sum(config, t1) - _oriented_sum(config, t2)
+    return oriented_difference(_oriented(config, t1), _oriented(config, t2))
 
 
-def flip_identity_sum(config: PointConfiguration, flip: Flip,
-                      cert: FlipIdentityCertificate) -> AntisymSum:
+def flip_identity_sum(flip: Flip, identities: Sequence[LinkIdentity]) -> AntisymSum:
     """The signed alternating sums of a verified flip, totalled over links."""
-    zlabels = sorted(flip.circuit.labels)
-    p = len(zlabels)
-    out = AntisymSum()
-    for lf, e in cert.signs:
-        for i in range(p):
-            tup = [config.points[l] for l in zlabels[:i] + zlabels[i + 1 :] + list(lf)]
-            out.add(tup, e * (-1) ** (i + 1))
-    return out
+    z = sorted(flip.circuit.labels)
+    return sum((circuit_link_sum(z, l.link, l.e) for l in identities), AntisymSum())
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def criterion_3() -> dict:
     config, orig = vr.section_configuration(tile)
     tri = frozenset(frozenset(s) for s in data.D4_TRIANGULATION)
     tri_valid = pt.is_valid_triangulation(config, tri)
-    regular_witness = pt.is_regular(config, tri, check=False)
+    regular_witness = pt.is_regular(config, tri)
     z = cy.build_zG(4)
     seventeen = len(z.provenance) == 17
     cert = cy.verify_boundary_zero(z)
@@ -189,8 +189,8 @@ def criterion_5(budget: int = 10000) -> dict:
         geom.config, t2
     )
     regular = (
-        pt.is_regular(geom.config, t1, check=False) is not None
-        and pt.is_regular(geom.config, t2, check=False) is not None
+        pt.is_regular(geom.config, t1) is not None
+        and pt.is_regular(geom.config, t2) is not None
     )
     all_tris = pt.enumerate_regular_triangulations(geom.config, budget=budget)
     three = len(all_tris) == 3 and any(t == t1 for t in all_tris) and any(
@@ -204,7 +204,10 @@ def criterion_5(budget: int = 10000) -> dict:
         frozenset(frozenset(s) for s in data.D5_F_T_MINUS_LOCAL),
     }
     sides_ok = one_flip and set(pt.gkz_two_triangulations(path[0].circuit)) == sides
-    identity = one_flip and pt.verify_flip_identity(geom.config, path[0]).valid
+    # verify_flip_identity raises ValueError where an identity fails
+    identity = one_flip and len(pt.verify_flip_identity(geom.config, path[0])) == len(
+        path[0].link
+    )
     applied = one_flip and pt.apply_flip(geom.config, t1, path[0]) == t2
     return {
         "ok": reproduced and census_ok and f_is_facet and valid and regular
@@ -223,19 +226,16 @@ def criterion_5(budget: int = 10000) -> dict:
 
 
 def _random_circuit(rng: random.Random, p: int):
-    """Random p points forming a circuit, or None on a degenerate draw."""
+    """A configuration of p random distinct points forming a circuit, or
+    None on a degenerate draw."""
     dim = p - 2
-    pts = [
-        tuple(Fraction(rng.randint(-6, 6)) for _ in range(dim)) for _ in range(p)
-    ]
-    if len(set(pts)) != p:
-        return None
-    config = pt.PointConfiguration.from_points(pts)
+    pts = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(p)]
     try:
+        config = pt.PointConfiguration.from_points(pts)
         pt.affine_dependence(config)
     except ValueError:
         return None
-    return pts
+    return config
 
 
 def criterion_6(seed: int = 0) -> dict:
@@ -249,17 +249,18 @@ def criterion_6(seed: int = 0) -> dict:
     for p in (3, 4, 5, 6):
         tried = 0
         while tried < 3:
-            pts = _random_circuit(rng, p)
-            if pts is None:
+            config = _random_circuit(rng, p)
+            if config is None:
                 continue
             tried += 1
             checked += 1
             good = 0
+            labels = list(config.labels)
             for mask in range(2 ** p):
                 total = AntisymSum()
                 for i in range(p):
                     eps_i = 1 if (mask >> i) & 1 else -1
-                    total.add(pts[:i] + pts[i + 1 :], eps_i)
+                    total.add(labels[:i] + labels[i + 1 :], eps_i)
                 if total.boundary().is_zero():
                     good += 1
             if good != 2:
@@ -273,12 +274,9 @@ def criterion_6(seed: int = 0) -> dict:
     flips = pt.supported_flips(pyramid, t_pyr)
     pyramid_ok = len(flips) == 1
     if pyramid_ok:
-        cert = pt.verify_flip_identity(pyramid, flips[0])
         t_pyr2 = pt.apply_flip(pyramid, t_pyr, flips[0])
-        lhs = pt.flip_identity_sum(pyramid, flips[0], cert)
-        pyramid_ok = cert.valid and lhs == pt.triangulation_difference(
-            pyramid, t_pyr, t_pyr2
-        )
+        lhs = pt.flip_identity_sum(flips[0], pt.verify_flip_identity(pyramid, flips[0]))
+        pyramid_ok = lhs == pt.triangulation_difference(pyramid, t_pyr, t_pyr2)
 
     # (c) the composite through degree k vanishes: chains in degree k+1
     dd_ok = True
@@ -309,17 +307,12 @@ def criterion_6(seed: int = 0) -> dict:
         attempts += 1
         dim = rng.choice((2, 3))
         npts = rng.randint(dim + 2, 8 if dim == 3 else 6)
-        pts = [
-            tuple(Fraction(rng.randint(0, 8)) for _ in range(dim))
-            for _ in range(npts)
-        ]
-        if len(set(pts)) != npts:
-            continue
-        config = pt.PointConfiguration.from_points(pts)
+        pts = [tuple(rng.randint(0, 8) for _ in range(dim)) for _ in range(npts)]
         try:
-            t_a = pt.placing_triangulation(config, return_witness=False)
+            config = pt.PointConfiguration.from_points(pts)  # rejects a repeated point
+            t_a = pt.placing_triangulation(config)
             order = rng.sample(range(npts), npts)
-            t_b = pt.placing_triangulation(config, order=order, return_witness=False)
+            t_b = pt.placing_triangulation(config, order=order)
             path = pt.flip_path(config, t_a, t_b, budget=4000)
         except (pt.DegenerateConfiguration, ValueError, pt.BudgetExceeded):
             continue
@@ -327,10 +320,7 @@ def criterion_6(seed: int = 0) -> dict:
         total = AntisymSum()
         cur = t_a
         for f in path:
-            cert = pt.verify_flip_identity(config, f)
-            if not cert.valid:
-                telescope_ok = False
-            total = total + pt.flip_identity_sum(config, f, cert)
+            total = total + pt.flip_identity_sum(f, pt.verify_flip_identity(config, f))
             cur = pt.apply_flip(config, cur, f)
         if cur != t_b or total != pt.triangulation_difference(config, t_a, t_b):
             telescope_ok = False

@@ -477,27 +477,30 @@ def sharbly_of_cone(
 
 
 # ---------------------------------------------------------------------------
-# antisymmetrized tuples of points (shared with the polytope identities)
-
-Point = tuple[Q, ...]
+# antisymmetrized label tuples (shared with the polytope identities)
 
 
-def antisym_term(points: Sequence[Point]) -> Optional[tuple[int, tuple[Point, ...]]]:
-    """Canonical (sign, sorted tuple), or None for a repeated point."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(set(pts)) != len(pts):
+def antisym_term(items: Sequence) -> Optional[tuple[int, tuple]]:
+    """Canonical (sign, sorted tuple), or None for a repeated item."""
+    if len(set(items)) != len(items):
         return None
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
-    return _perm_sign(order), tuple(pts[i] for i in order)
+    order = sorted(range(len(items)), key=items.__getitem__)
+    return _perm_sign(order), tuple(items[i] for i in order)
 
 
 class AntisymSum(_FormalSum):
-    """Formal Q-sum of antisymmetrized point tuples."""
+    """Formal Q-sum of antisymmetrized tuples of point labels.
+
+    The polytope identities are stated on labels (De Loera, Rambau, Santos,
+    *Triangulations*, Ch. 4); a configuration's labels name distinct points,
+    so an identity between label sums is the same identity between point
+    sums.
+    """
 
     __slots__ = ()
 
-    def add(self, points: Sequence[Point], coeff) -> None:
-        t = antisym_term(points)
+    def add(self, items: Sequence, coeff) -> None:
+        t = antisym_term(items)
         if t is None:
             return
         sign, key = t

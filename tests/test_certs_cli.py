@@ -6,6 +6,7 @@ import pytest
 from vcdcycle import certs
 from vcdcycle import cli
 from vcdcycle import cycle as cy
+from vcdcycle import data
 from vcdcycle import polytope as pt
 from vcdcycle import serialize as ser
 from vcdcycle import voronoi as vr
@@ -323,6 +324,91 @@ def test_cli_flip_rejects_malformed_triangulation(tmp_path, capsys, action, firs
     assert capsys.readouterr().err.startswith("error: ")
 
 
+D5_FACET = ",".join(map(str, data.D5_FACET_F))
+_D5_LOCAL = {label: i for i, label in enumerate(sorted(data.D5_FACET_F))}
+D5_T1, D5_T2 = (
+    [sorted(_D5_LOCAL[x] for x in s) for s in tri]
+    for tri in (data.D5_F_TRIANGULATION_1, data.D5_F_TRIANGULATION_2)
+)
+A3_SIMPLEX = [[0, 1, 2, 3, 4]]
+
+BAD_FLIP_PAIRS = [
+    ("D5", D5_FACET, {"first": D5_T1[1:], "second": D5_T1[1:]}),  # T1 less a simplex
+    ("D5", D5_FACET, {"first": D5_T1, "second": D5_T2[1:]}),
+    ("A3", "0,1,2,3,4", {"first": [[0, 1, 99]], "second": A3_SIMPLEX}),
+    ("A3", "0,1,2,3,4", {"first": A3_SIMPLEX, "second": [[0, 1, 2, 3, 99]]}),
+    ("A3", "0,1,2,3,4", [1, 2]),
+    ("A3", "0,1,2,3,4", {"first": A3_SIMPLEX}),
+]
+
+
+@pytest.mark.parametrize("action, written", [("path", "--out"), ("verify", "--cert")])
+@pytest.mark.parametrize("form, facet, doc", BAD_FLIP_PAIRS)
+def test_cli_flip_rejects_invalid_endpoints(tmp_path, capsys, action, written, form, facet, doc):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = ["flip", action, "--form", form, "--facet", facet, "--in", str(pair), written, str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def d5_flip_cert(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("flip")
+    pair = tmp / "pair.json"
+    pair.write_text(json.dumps({"first": D5_T1, "second": D5_T2}))
+    path = tmp / "flips.json"
+    argv = ["flip", "verify", "--form", "D5", "--facet", D5_FACET, "--in", str(pair),
+            "--cert", str(path)]
+    assert cli.main(argv) == 0
+    return json.loads(path.read_text())
+
+
+def _negate_a_link(payload):
+    link = payload["flips"][0]["links"][0]
+    link["e"] = -link["e"]
+    for side in ("removed", "inserted"):
+        for s in link[side]:
+            s["orientation"] = -s["orientation"]
+
+
+def _flip_one_orientation(payload):
+    s = payload["flips"][0]["links"][0]["inserted"][0]
+    s["orientation"] = -s["orientation"]
+
+
+def _repeat_a_point(payload):
+    payload["points"][1] = payload["points"][0]
+
+
+def _swap_two_labels(payload):
+    # an odd reordering of every listed simplex, e negated: the identity
+    # still holds formally, but each orientation is of the ascending labels
+    link = payload["flips"][0]["links"][0]
+    link["e"] = -link["e"]
+    for side in ("removed", "inserted"):
+        for s in link[side]:
+            s["labels"][:2] = s["labels"][1::-1]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_negate_a_link, "simplex orientation mismatch"),
+    (_flip_one_orientation, "simplex orientation mismatch"),
+    (_swap_two_labels, "simplex labels not ascending"),
+    (_repeat_a_point, "malformed certificate: repeated point in configuration"),
+])
+def test_cli_cert_check_recomputes_flip_orientations(tmp_path, capsys, d5_flip_cert, mutate, message):
+    doc = copy.deepcopy(d5_flip_cert)
+    mutate(doc["payload"])
+    cert = tmp_path / "flips.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["cert", "check", str(cert)]) == 1
+    assert capsys.readouterr().out == message + "\n"
+
+
 @pytest.fixture(scope="module")
 def a3_triangulation_cert(tmp_path_factory):
     path = tmp_path_factory.mktemp("tri") / "tc.json"
@@ -368,9 +454,9 @@ def test_cli_flip_path_budget_exceeded(tmp_path, capsys):
     order = [9, 7, 3, 4, 11, 2, 10, 5, 12, 8, 0, 1, 6]
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({
-        "first": ser.triangulation_to_json(pt.placing_triangulation(config, return_witness=False)),
+        "first": ser.triangulation_to_json(pt.placing_triangulation(config)),
         "second": ser.triangulation_to_json(
-            pt.placing_triangulation(config, order=order, return_witness=False)
+            pt.placing_triangulation(config, order=order)
         ),
     }))
     argv = ["flip", "path", "--form", "D5", "--facet", ",".join(map(str, labels)), "--in", str(pair)]

@@ -53,7 +53,7 @@ def test_z4_with_alternative_triangulation():
     # of the same tile still certifies
     tile = vr.builtin_tile("D4")
     config, orig = vr.section_configuration(tile)
-    tri = pt.placing_triangulation(config, return_witness=False)
+    tri = pt.placing_triangulation(config)
     alt = [frozenset(orig[i] for i in s) for s in tri]
     z = cy.build_zG(4, triangulations={"D4": alt})
     cert = cy.verify_boundary_zero(z)

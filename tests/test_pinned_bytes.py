@@ -1,12 +1,15 @@
 """Byte-for-byte pins of the rank-4 cycle, its two certificates and the D4
-stabilizer.  The digests are those of the outputs before the equivalence
-search became one integer pass.  A change to the search, the elimination or
-the serialization that alters any output byte fails here, so a new output
+stabilizer, and of the D5 facet F triangulation and flip-identity outputs.
+The rank-4 digests are those of the outputs before the equivalence search
+became one integer pass; the D5 ones those before the flip identities were
+keyed on point labels.  A change to the search, the elimination or the
+serialization that alters any output byte fails here, so a new output
 needs a deliberate new pin."""
 
 import hashlib
+import json
 
-from vcdcycle import cli
+from vcdcycle import cli, data
 
 PINNED = {
     "z4.json": "9bbc2b3aa55251d731cdc19cb92318796a1636c74726f067fa34177e698e74c0",
@@ -31,3 +34,31 @@ def test_rank4_cycle_certificates_and_d4_stabilizer_are_pinned(tmp_path):
     for argv in runs:
         assert cli.main(argv) == 0, argv
     assert {name: _sha256(tmp_path / name) for name in PINNED} == PINNED
+
+
+D5_PINNED = {
+    "triangulation-cert.json": "d2cd970494c4a0c08232661ef26eda2a67b20d90042868c2117fd2dc490ff794",
+    "triangulation.json": "2b7c737b0ac3dc665cbc6ba3ee4e7ad0f1971c1279099b79c59a1b1ad37d18e0",
+    "flips.json": "0248d3941e0300dbd79736895a72d49097f05d3376ba3dd33d2c5dd332bd65c3",
+}
+
+
+def test_d5_facet_triangulation_and_flip_certificates_are_pinned(tmp_path):
+    facet = ",".join(map(str, data.D5_FACET_F))
+    local = {label: i for i, label in enumerate(sorted(data.D5_FACET_F))}
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        key: [sorted(local[x] for x in s) for s in tri]
+        for key, tri in (("first", data.D5_F_TRIANGULATION_1),
+                         ("second", data.D5_F_TRIANGULATION_2))
+    }))
+    runs = [
+        ["triangulate", "--form", "D5", "--facet", facet,
+         "--out", str(tmp_path / "triangulation.json"),
+         "--cert", str(tmp_path / "triangulation-cert.json")],
+        ["flip", "verify", "--form", "D5", "--facet", facet, "--in", str(pair),
+         "--cert", str(tmp_path / "flips.json")],
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+    assert {name: _sha256(tmp_path / name) for name in D5_PINNED} == D5_PINNED

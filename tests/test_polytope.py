@@ -7,7 +7,7 @@ import pytest
 from vcdcycle import polytope as pt
 from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import as_q, int_rank, mat_vec_int
-from vcdcycle.sharbly import AntisymSum
+from vcdcycle.sharbly import AntisymSum, _perm_sign
 
 
 def lift_triangulation(config, heights):
@@ -115,13 +115,15 @@ def test_gkz_two_triangulations_square():
 def test_placing_simplex_any_order():
     cfg = triangle()
     for order in ([0, 1, 2], [2, 0, 1]):
-        tri, h = pt.placing_triangulation(cfg, order=order)
+        tri = pt.placing_triangulation(cfg, order=order)
+        h = pt.is_regular(cfg, tri)
         assert tri == frozenset({frozenset({0, 1, 2})})
         assert lift_triangulation(cfg, h) == tri
 
 
 def test_placing_square_is_a_diagonal():
-    tri, heights = pt.placing_triangulation(square())
+    tri = pt.placing_triangulation(square())
+    heights = pt.is_regular(square(), tri)
     assert tri in (DIAG_02, DIAG_13)
     assert lift_triangulation(square(), heights) == tri
 
@@ -153,9 +155,11 @@ def test_is_regular_square():
         assert lift_triangulation(square(), h) == tri
 
 
-def test_is_regular_rejects_invalid():
-    with pytest.raises(ValueError):
-        pt.is_regular(square(), {frozenset({0, 1, 2}), frozenset({0, 1, 3})})
+def test_flip_path_rejects_invalid_endpoints():
+    invalid = {frozenset({0, 1, 2}), frozenset({0, 1, 3})}
+    for t1, t2 in ((invalid, DIAG_02), (DIAG_02, invalid), (invalid, invalid)):
+        with pytest.raises(ValueError, match="endpoint is not a valid triangulation"):
+            pt.flip_path(square(), t1, t2)
 
 
 def test_non_regular_triangulation_detected():
@@ -173,7 +177,7 @@ def test_non_regular_triangulation_detected():
         )
     )
     assert pt.is_valid_triangulation(cfg, tri)
-    assert pt.is_regular(cfg, tri, check=False) is None
+    assert pt.is_regular(cfg, tri) is None
 
 
 def test_supported_flips_simplex_empty():
@@ -218,9 +222,9 @@ def test_pyramid_flip_and_identity():
     assert f.circuit.labels == frozenset({0, 1, 2, 3})
     assert f.link == frozenset({frozenset({4})})
     t2 = pt.apply_flip(cfg, t1, f)
-    cert = pt.verify_flip_identity(cfg, f)
-    assert cert.valid and len(cert.signs) == 1
-    assert pt.flip_identity_sum(cfg, f, cert) == pt.triangulation_difference(cfg, t1, t2)
+    links = pt.verify_flip_identity(cfg, f)
+    assert len(links) == 1
+    assert pt.flip_identity_sum(f, links) == pt.triangulation_difference(cfg, t1, t2)
 
 
 def test_pyramid_identity_formal_shape():
@@ -260,7 +264,7 @@ def test_unimodular_affine_invariance():
         ]
         cfg2 = pt.PointConfiguration.from_points(pts)
         assert pt.is_valid_triangulation(cfg2, tri)
-        assert pt.is_regular(cfg2, tri, check=False) is not None
+        assert pt.is_regular(cfg2, tri) is not None
 
 
 def test_project_to_affine_span():
@@ -280,7 +284,7 @@ def test_project_to_affine_span():
 
 
 def oracle_enumerate(config, budget=10000):
-    start, _ = pt.placing_triangulation(config)
+    start = pt.placing_triangulation(config)
     found = {pt._canon_tri(start): start}
     queue = [start]
     while queue:
@@ -290,7 +294,7 @@ def oracle_enumerate(config, budget=10000):
             key = pt._canon_tri(nxt)
             if key in found:
                 continue
-            if pt.is_regular(config, nxt, check=False) is None:
+            if pt.is_regular(config, nxt) is None:
                 continue
             found[key] = nxt
             queue.append(nxt)
@@ -303,7 +307,7 @@ def oracle_flip_path(config, t1, t2, budget=10000):
     t1 = frozenset(frozenset(s) for s in t1)
     t2 = frozenset(frozenset(s) for s in t2)
     for t in (t1, t2):
-        if pt.is_regular(config, t, check=False) is None:
+        if pt.is_regular(config, t) is None:
             raise ValueError("endpoint triangulation is not regular")
     if t1 == t2:
         return []
@@ -319,7 +323,7 @@ def oracle_flip_path(config, t1, t2, budget=10000):
             nkey = pt._canon_tri(nxt)
             if nkey in parents:
                 continue
-            if pt.is_regular(config, nxt, check=False) is None:
+            if pt.is_regular(config, nxt) is None:
                 continue
             parents[nkey] = (key, f)
             tris[nkey] = nxt
@@ -356,9 +360,9 @@ def _search_cases(seed, count):
             continue
         config = pt.PointConfiguration.from_points(pts)
         try:
-            t_a = pt.placing_triangulation(config, return_witness=False)
+            t_a = pt.placing_triangulation(config)
             order = rng.sample(range(npts), npts)
-            t_b = pt.placing_triangulation(config, order=order, return_witness=False)
+            t_b = pt.placing_triangulation(config, order=order)
         except pt.DegenerateConfiguration:
             continue
         cases.append((config, t_a, t_b))
@@ -375,3 +379,108 @@ def test_flip_searches_match_the_separate_searches(seed):
             assert _outcome(pt.flip_path, config, t_a, t_b, budget) == _outcome(
                 oracle_flip_path, config, t_a, t_b, budget
             )
+
+
+# ---------------------------------------------------------------------------
+# flip identities over labels against the point-keyed sums they replaced
+
+
+def oracle_antisym_term(points):
+    """The point-keyed `antisym_term`: canonical (sign, sorted tuple of
+    `Fraction` points), or None for a repeated point."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    if len(set(pts)) != len(pts):
+        return None
+    order = sorted(range(len(pts)), key=lambda i: pts[i])
+    return _perm_sign(order), tuple(pts[i] for i in order)
+
+
+def oracle_add(terms: dict, points, coeff) -> None:
+    t = oracle_antisym_term(points)
+    if t is None:
+        return
+    sign, key = t
+    c = terms.get(key, 0) + sign * Fraction(coeff)
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
+def on_points(config, s: AntisymSum) -> dict:
+    """A label-keyed sum with each label replaced by its point."""
+    out = {}
+    for key, c in s.terms.items():
+        oracle_add(out, [config.points[l] for l in key], c)
+    return out
+
+
+def oracle_triangulation_difference(config, t1, t2) -> dict:
+    out = {}
+    for tri, sign in ((t1, 1), (t2, -1)):
+        for s in tri:
+            labels = sorted(s)
+            oracle_add(out, [config.points[l] for l in labels],
+                       sign * pt.simplex_orientation(config, labels))
+    return out
+
+
+def oracle_circuit_link_sum(config, z, lf, e) -> dict:
+    out = {}
+    for i in range(len(z)):
+        oracle_add(out, [config.points[l] for l in z[:i] + z[i + 1 :] + lf], e * (-1) ** (i + 1))
+    return out
+
+
+def oracle_link_signs(config, flip) -> list:
+    """(sorted link facet, e) per link facet, decided on point keys."""
+    z = sorted(flip.circuit.labels)
+    signs = []
+    for facet in sorted(flip.link, key=sorted):
+        lf = sorted(facet)
+        lhs = oracle_circuit_link_sum(config, z, lf, 1)
+        rhs = oracle_triangulation_difference(
+            config,
+            [s for s in flip.removed if s - flip.circuit.labels == facet],
+            [s for s in flip.inserted if s - flip.circuit.labels == facet],
+        )
+        e = 1 if lhs == rhs else -1
+        assert oracle_circuit_link_sum(config, z, lf, e) == rhs
+        signs.append((tuple(lf), e))
+    return signs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_label_keyed_flip_identities_match_the_point_keyed_oracle(seed):
+    flips = 0
+    for config, t_a, t_b in _search_cases(seed, 4):
+        z_sum, oracle_sum = AntisymSum(), {}
+        cur = t_a
+        for f in pt.flip_path(config, t_a, t_b):
+            links = pt.verify_flip_identity(config, f)
+            signs = oracle_link_signs(config, f)
+            assert [(l.link, l.e) for l in links] == signs
+            for side, simplices in (("removed", f.removed), ("inserted", f.inserted)):
+                listed = [s for l in links for s in getattr(l, side)]
+                assert sorted(s for s, _ in listed) == sorted(tuple(sorted(s)) for s in simplices)
+                assert all(o == pt.simplex_orientation(config, s) for s, o in listed)
+            nxt = pt.apply_flip(config, cur, f)
+            lhs = pt.flip_identity_sum(f, links)
+            oracle_lhs = {}
+            for lf, e in signs:
+                for k, c in oracle_circuit_link_sum(config, sorted(f.circuit.labels), list(lf), e).items():
+                    oracle_add(oracle_lhs, k, c)
+            assert on_points(config, lhs) == oracle_lhs
+            assert lhs == pt.triangulation_difference(config, cur, nxt)
+            assert on_points(config, lhs) == oracle_triangulation_difference(config, cur, nxt)
+            z_sum = z_sum + lhs
+            for k, c in oracle_lhs.items():
+                oracle_add(oracle_sum, k, c)
+            cur = nxt
+            flips += 1
+        assert cur == t_b
+        assert z_sum == pt.triangulation_difference(config, t_a, t_b)
+        assert on_points(config, z_sum) == oracle_sum == oracle_triangulation_difference(
+            config, t_a, t_b
+        )
+    assert flips > 0

@@ -92,7 +92,7 @@ def _candidates(rng, config, hull):
     for _ in range(2):
         order = list(config.labels)
         rng.shuffle(order)
-        tri = pt.placing_triangulation(config, order=order, return_witness=False)
+        tri = pt.placing_triangulation(config, order=order)
         out.append(tri)
         out.extend(_raw_flip_neighbours(config, tri))
         for s in tri:
