@@ -97,10 +97,10 @@ def cmd_tile_facets(args) -> int:
 def cmd_tile_stabilizer(args) -> int:
     tile = _tile(args)
     group = vr.stabilizer(tile)
-    print(f"{args.form}: stabilizer order {len(group)}")
+    print(f"{args.form}: stabilizer order {group.order}")
     if args.out:
-        _write_json(args.out, {"form": args.form, "order": len(group),
-                               "elements": [ser.matrix_to_json(g) for g in group]})
+        _write_json(args.out, {"form": args.form, "order": group.order,
+                               "elements": [ser.matrix_to_json(g) for g in group.elements()]})
     return EXIT_OK
 
 

@@ -90,7 +90,7 @@ def build_zG(
     provenance: list[TermProvenance] = []
     orders: dict[str, int] = {}
     for tile in _tiles_for(n):
-        order = len(stabilizer(tile))
+        order = stabilizer(tile).order
         orders[tile.form.name] = order
         weight = Fraction(1, order)
         tri = (

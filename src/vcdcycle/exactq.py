@@ -272,16 +272,13 @@ def nullspace(m) -> list[Vector]:
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine span of a nonempty list of points."""
-    pts = [vec_q(p) for p in points]
-    if not pts:
+    """Dimension of the affine span of a nonempty list of (int or Fraction)
+    points: the rank of the points homogenized by a coordinate 1, less one."""
+    if not points:
         raise ValueError("affine_dim of an empty point list")
-    if any(len(p) != len(pts[0]) for p in pts):
+    if any(len(p) != len(points[0]) for p in points):
         raise ValueError("points of mixed ambient dimension")
-    if len(pts) == 1:
-        return 0
-    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-    return int_rank(int_rows(diffs))
+    return int_rank(int_rows([(*p, 1) for p in points])) - 1
 
 
 def primitive_normalize(v: Sequence) -> IntVector:

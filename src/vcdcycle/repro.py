@@ -102,7 +102,7 @@ def criterion_1() -> dict:
 def criterion_2() -> dict:
     """Rank 3: stabilizer order 24, coefficient 1/24, self-negation ledger."""
     tile = vr.builtin_tile("A3")
-    order = len(vr.stabilizer(tile))
+    order = vr.stabilizer(tile).order
     z = cy.build_zG(3)
     sign, b = canonicalize(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)]

@@ -12,8 +12,12 @@ once per search) to images B is kept only when det B = det A, every
 B adj(A) a / det(A) is integral and lands on a distinct target, and
 g = B adj(A) / det(A) is integral.  The sign of g.a = s.b for canonical a
 and b is the parity of that bijection; `act`, which re-canonicalizes g's
-image, is left to the certificate checker.  Rationals (`Fraction`) appear
-only as chain coefficients.
+image, is left to the certificate checker.  The same search builds the
+automorphism group of a vector list as a stabilizer chain, one first-hit
+search per transversal element, which gives stabilizer orders, and proves
+a class is not self-negating when no generator reverses its sign, without
+listing the group.  Rationals (`Fraction`) appear only as chain
+coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -29,6 +34,7 @@ from .exactq import (
     independent_rows,
     int_det,
     int_det_adjugate,
+    mat_mul_int,
     mat_vec_int,
     primitive_normalize,
     rank1_vec,
@@ -192,18 +198,16 @@ def boundary(chain: SharblyChain) -> SharblyChain:
 
 @lru_cache(maxsize=None)
 def _pair_data(vectors: tuple[IntVector, ...], n: int):
-    s = [[0] * n for _ in range(n)]
-    for v in vectors:
-        for i in range(n):
-            for j in range(n):
-                s[i][j] += v[i] * v[j]
-    dets, adj = int_det_adjugate(s)
+    cols = list(zip(*vectors))
+    dets, adj = int_det_adjugate([[sum(map(mul, ci, cj)) for cj in cols] for ci in cols])
     m = len(vectors)
     av = [mat_vec_int(adj, v) for v in vectors]
-    npair = [[sum(x * y for x, y in zip(av[i], vectors[j])) for j in range(m)]
-             for i in range(m)]
+    npair = [[0] * m for _ in range(m)]
+    for i in range(m):  # adj(S) is symmetric, and so is N
+        for j in range(i, m):
+            npair[i][j] = npair[j][i] = sum(map(mul, av[i], vectors[j]))
     row_keys = tuple(
-        (npair[i][i], tuple(sorted(abs(npair[i][j]) for j in range(m))))
+        (npair[i][i], tuple(sorted(abs(x) for x in npair[i])))
         for i in range(m)
     )
     global_key = (n, m, dets, tuple(sorted(row_keys)))
@@ -214,6 +218,93 @@ def invariant_key(vectors: Sequence[IntVector], n: int):
     """Equivalence-invariant fingerprint of a primitive vector list."""
     vs = tuple(sorted(primitive_normalize(v) for v in vectors))
     return _pair_data(vs, n)[2]
+
+
+class _Search:
+    """Backtracking over the signed images s.b_j of a base of the sorted list
+    a inside the sorted list b, base vector base[order[p]] at position p.
+
+    A candidate image is pruned by its pairings with the positions before
+    it; a full assignment B is kept by `_complete`, which checks det B =
+    det A, then that every B adj(A) a_i / det(A) is integral and hits a new
+    b_j, then that g = B adj(A) / det(A) is integral.  `used` holds the
+    images of the assigned positions.
+    """
+
+    __slots__ = ("n", "sb", "na", "nb", "base", "cand", "order", "b_index",
+                 "det_a", "adj_a", "adj_sa", "assign_j", "assign_s", "used")
+
+    def __init__(self, sa, sb, n, na, rka, nb, rkb):
+        base = independent_rows(sa, n)
+        if len(base) < n:
+            raise ValueError("vectors do not span Q^n")
+        self.n, self.sb, self.na, self.nb, self.base = n, sb, na, nb, base
+        self.cand = [[j for j in range(len(sb)) if rkb[j] == rka[i]] for i in base]
+        self.order = sorted(range(n), key=lambda k: len(self.cand[k]))
+        self.b_index = {v: i for i, v in enumerate(sb)}
+        # g takes the base columns A to the chosen signed images B: g = B adj(A) / det(A)
+        self.det_a, self.adj_a = int_det_adjugate(list(zip(*(sa[i] for i in base))))
+        self.adj_sa = [mat_vec_int(self.adj_a, v) for v in sa]  # g v = B adj(A) v / det(A)
+        self.assign_j = [-1] * n
+        self.assign_s = [0] * n
+        self.used: set[int] = set()
+
+    def fix(self, prefix: Sequence[tuple[int, int]]) -> None:
+        """Assign the images (j, s) of the first positions.  `used` is
+        rebuilt: a search abandoned at its first hit leaves the images of
+        its deeper positions in it."""
+        self.used.clear()
+        for (j, s), k in zip(prefix, self.order):
+            self.assign_j[k], self.assign_s[k] = j, s
+            self.used.add(j)
+
+    def choices(self, pos: int) -> Iterator[tuple[int, int]]:
+        """The unused images (j, s) of position pos that keep its pairings
+        with the positions before it."""
+        k = self.order[pos]
+        na_i, nb, used = self.na[self.base[k]], self.nb, self.used
+        prev = [(na_i[self.base[kp]], self.assign_j[kp], self.assign_s[kp])
+                for kp in self.order[:pos]]
+        for j in self.cand[k]:
+            if j in used:
+                continue
+            nb_j = nb[j]
+            if any(abs(x) != abs(nb_j[jp]) for x, jp, _ in prev):
+                continue
+            for s in (1, -1):
+                if all(x == s * sp * nb_j[jp] for x, jp, sp in prev):
+                    yield j, s
+
+    def backtrack(self, pos: int) -> Iterator[tuple[GroupElement, list]]:
+        """Every (g, bijection) of `_complete` below the assignment of the
+        positions before pos."""
+        if pos == self.n:
+            sb, assign_j, assign_s = self.sb, self.assign_j, self.assign_s
+            images = [[assign_s[k] * y for y in sb[assign_j[k]]] for k in range(pos)]
+            hit = _complete(images, self.adj_a, self.adj_sa, self.det_a, self.b_index)
+            if hit is not None:
+                yield hit
+            return
+        k = self.order[pos]
+        for j, s in self.choices(pos):
+            self.assign_j[k] = j
+            self.assign_s[k] = s
+            self.used.add(j)
+            yield from self.backtrack(pos + 1)
+            self.used.discard(j)
+        self.assign_j[k] = -1
+
+
+def _search(vs_a: Sequence[IntVector], vs_b: Sequence[IntVector], n: int) -> Optional[_Search]:
+    """The search from vs_a to vs_b, or None when their invariants differ."""
+    if len(vs_a) != len(vs_b):
+        return None
+    sa, sb = tuple(sorted(vs_a)), tuple(sorted(vs_b))
+    na, rka, gka = _pair_data(sa, n)
+    nb, rkb, gkb = _pair_data(sb, n)
+    if gka != gkb:
+        return None
+    return _Search(sa, sb, n, na, rka, nb, rkb)
 
 
 def vector_set_maps(
@@ -229,86 +320,22 @@ def vector_set_maps(
     the sorted lists a and b; for canonical inputs it is the s of
     g.[a] = s.[b] (see `equivalences`).
     """
-    vs_a = tuple(vs_a)
-    vs_b = tuple(vs_b)
-    m = len(vs_a)
-    if m != len(vs_b):
+    search = _search(vs_a, vs_b, n)
+    if search is None:
         return
-    na, rka, gka = _pair_data(tuple(sorted(vs_a)), n)
-    nb, rkb, gkb = _pair_data(tuple(sorted(vs_b)), n)
-    if gka != gkb:
-        return
-    sa = sorted(vs_a)
-    sb = sorted(vs_b)
-    b_index = {v: i for i, v in enumerate(sb)}
-
-    base = independent_rows(sa, n)
-    if len(base) < n:
-        raise ValueError("vectors do not span Q^n")
-    cand = [
-        [j for j in range(m) if rkb[j] == rka[i]]
-        for i in base
-    ]
-    order = sorted(range(n), key=lambda k: len(cand[k]))
-    # g takes the base columns A to the chosen signed images B: g = B adj(A) / det(A)
-    basecols = list(zip(*(sa[i] for i in base)))
-    det_a, adj_a = int_det_adjugate(basecols)
-    adj_sa = [mat_vec_int(adj_a, v) for v in sa]  # g v = B adj(A) v / det(A)
-
-    assign_j = [-1] * n
-    assign_s = [0] * n
-    used = set()
-
-    def backtrack(pos: int) -> Iterator[tuple[GroupElement, int]]:
-        if pos == n:
-            images = [[assign_s[k] * y for y in sb[assign_j[k]]] for k in range(n)]
-            hit = _complete(images, adj_a, adj_sa, det_a, b_index)
-            if hit is not None:
-                yield hit
-            return
-        k = order[pos]
-        i = base[k]
-        for j in cand[k]:
-            if j in used:
-                continue
-            ok = True
-            for prev in range(pos):
-                kp = order[prev]
-                ip = base[kp]
-                jp = assign_j[kp]
-                if abs(na[i][ip]) != abs(nb[j][jp]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for s in (1, -1):
-                good = True
-                for prev in range(pos):
-                    kp = order[prev]
-                    ip, jp, sp = base[kp], assign_j[kp], assign_s[kp]
-                    if na[i][ip] != s * sp * nb[j][jp]:
-                        good = False
-                        break
-                if not good:
-                    continue
-                assign_j[k] = j
-                assign_s[k] = s
-                used.add(j)
-                yield from backtrack(pos + 1)
-                used.discard(j)
-        assign_j[order[pos]] = -1
-
-    yield from backtrack(0)
+    for g, bijection in search.backtrack(0):
+        yield g, _perm_sign([j for j, _ in bijection])
 
 
 def _complete(images, adj_a, adj_sa, det_a, b_index):
-    """(g, sign) for a leaf with base images B (rows of `images`), or None.
-    Tests det B = det A (det g = det B / det A), then that each g a_i is
-    integral and hits a new b_j (the bijection), then that g is integral."""
+    """(g, bijection) for a leaf with base images B (rows of `images`), or
+    None; the bijection lists (j, t) with g a_i = t b_j for each a_i.  Tests
+    det B = det A (det g = det B / det A), then that each g a_i is integral
+    and hits a new b_j, then that g is integral."""
     if int_det(images) != det_a:  # images as rows: det B^t = det B
         return None
     brows = list(zip(*images))
-    perm = []
+    bijection = []
     seen = set()
     for u in adj_sa:
         w = []
@@ -318,11 +345,12 @@ def _complete(images, adj_a, adj_sa, det_a, b_index):
                 return None
             w.append(x)
         # w != 0: det B = det A != 0 makes g invertible
-        j = b_index.get(tuple(w) if next(x for x in w if x) > 0 else tuple(-x for x in w))
+        t = 1 if next(x for x in w if x) > 0 else -1
+        j = b_index.get(tuple(w) if t > 0 else tuple(-x for x in w))
         if j is None or j in seen:
             return None
         seen.add(j)
-        perm.append(j)
+        bijection.append((j, t))
     g_rows = []
     for row in brows:
         g_row = []
@@ -332,7 +360,87 @@ def _complete(images, adj_a, adj_sa, det_a, b_index):
                 return None
             g_row.append(x)
         g_rows.append(tuple(g_row))
-    return tuple(g_rows), _perm_sign(perm)
+    return tuple(g_rows), bijection
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups as stabilizer chains
+#
+# Aut(a) = {g in SL_n(Z) : g {±a} = {±a}} acts on the signed vectors
+# (j, t) ~ t a_j.  Let beta_L be base vector L of the search, as (j, +1), and
+# G_L the subgroup fixing beta_0, ..., beta_{L-1}.  G_n is trivial, since g
+# is fixed by the images of a basis, so |Aut(a)| is the product of the
+# orbit lengths |G_L beta_L|, and every element is one product
+# u_0 u_1 ... u_{n-1} of transversal elements, u_L beta_L running over that
+# orbit (Sims; Plesken and Souvignier, "Computing isometries of lattices",
+# J. Symbolic Comput. 24 (1997)).  Levels are filled from the deepest up:
+# the generators already found fix beta_0..beta_{L-1}, and each candidate
+# image of beta_L outside their orbit costs one first-hit search.
+
+
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """Aut(a) as a stabilizer chain: generators, and per level L one u in
+    G_L for each point u beta_L of the orbit G_L beta_L."""
+
+    generators: tuple[tuple[GroupElement, int], ...]  # (g, sign of g.a = s.a)
+    transversals: tuple[tuple[GroupElement, ...], ...]  # level L: G_L beta_L
+
+    @property
+    def order(self) -> int:
+        return prod(map(len, self.transversals))
+
+    def elements(self) -> list[GroupElement]:
+        """Every element, sorted."""
+        out = list(self.transversals[-1])
+        for level in reversed(self.transversals[:-1]):
+            out = [mat_mul_int(u, h) for u in level for h in out]
+        return sorted(out)
+
+
+def automorphism_group(vectors: Sequence[IntVector], n: int) -> AutomorphismGroup:
+    """The g in SL_n(Z) with g {±vectors} = {±vectors}, as a stabilizer
+    chain over the base of `vector_set_maps`' search.
+
+    The vectors must be distinct, primitive as `primitive_normalize` leaves
+    them, and span Q^n.
+    """
+    search = _search(vectors, vectors, n)
+    beta = [(search.base[k], 1) for k in search.order]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens: list[tuple[GroupElement, list]] = []
+    transversals: list = [()] * n
+    for level in reversed(range(n)):
+        search.fix(beta[:level])
+        orbit = {beta[level]: ident}  # point -> u with u beta_level = point
+        for point in list(search.choices(level)):
+            if point in orbit:
+                continue
+            search.fix(beta[:level] + [point])
+            hit = next(search.backtrack(level + 1), None)
+            if hit is not None:
+                gens.append(hit)
+                _close_orbit(orbit, gens)
+        transversals[level] = tuple(orbit.values())
+    return AutomorphismGroup(
+        tuple((g, _perm_sign([j for j, _ in bijection])) for g, bijection in gens),
+        tuple(transversals),
+    )
+
+
+def _close_orbit(orbit: dict, gens) -> None:
+    """Close a transversal {point: u with u beta = point} under the
+    generators (g, bijection): g takes point (j, t) to (j', t t') when
+    g a_j = t' a_j', reached by g u."""
+    queue = list(orbit)
+    for j, t in queue:
+        u = orbit[j, t]
+        for g, bijection in gens:
+            jg, tg = bijection[j]
+            point = (jg, t * tg)
+            if point not in orbit:
+                orbit[point] = mat_mul_int(g, u)
+                queue.append(point)
 
 
 def act(g: GroupElement, basic: BasicSharbly):
@@ -365,9 +473,14 @@ def equivalent(a: BasicSharbly, b: BasicSharbly) -> Optional[tuple[GroupElement,
 
 
 def self_negation_witness(a: BasicSharbly) -> Optional[GroupElement]:
-    for g, _ in equivalences(a, a, want_sign=-1):
-        return g
-    return None
+    """The first g of the search with g.a = -a, or None.
+
+    The sign s of g.a = s.a is a homomorphism Aut(a) -> ±1, so no such g
+    exists when every generator of Aut(a) has s = +1.
+    """
+    if all(s == 1 for _, s in automorphism_group(a.vectors, a.n).generators):
+        return None
+    return next(g for g, _ in equivalences(a, a, want_sign=-1))
 
 
 # ---------------------------------------------------------------------------

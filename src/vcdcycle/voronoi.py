@@ -4,8 +4,8 @@ A perfect form is pinned down by its minimal vectors; the associated tile
 is the cone spanned by the rank-1 forms of those vectors.  This module
 reconstructs forms from vector data, enumerates minimal vectors exactly,
 computes tile facets through the double description machinery, and finds
-tile stabilizers inside SL_n(Z) by a pruned backtracking search.  The
-built-in datasets cover ranks 2 through 5.
+tile stabilizers inside SL_n(Z) as stabilizer chains.  The built-in
+datasets cover ranks 2 through 5.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exactq import (
     vec_trace,
 )
 from .polytope import PointConfiguration, project_to_affine_span
-from .sharbly import GroupElement, vector_set_maps
+from .sharbly import AutomorphismGroup, automorphism_group
 
 IntVector = tuple[int, ...]
 
@@ -196,14 +196,17 @@ def tile_facets(tile: Tile) -> list[tuple[frozenset, IntVector]]:
 # stabilizers
 
 
-def stabilizer(tile: Tile) -> list[GroupElement]:
-    """All g in SL_n(Z) with g . tile = tile.
+def stabilizer(tile: Tile) -> AutomorphismGroup:
+    """The g in SL_n(Z) with g . tile = tile, as a stabilizer chain.
 
-    Search over sign-respecting bijections of the minimal vectors, pruned
-    by the pairwise form values; every candidate matrix is verified to be
-    integral with determinant one and to permute the rays.
+    These are the g that map the minimal vectors to themselves up to sign.
+    Each level of the chain fixes one more base vector, and one first-hit
+    search per orbit point not yet reached finds a transversal element, so
+    the search visits a few leaves per level rather than one per group
+    element.  Every generator is verified to be integral with determinant
+    one and to permute the rays.
     """
-    return sorted(g for g, _ in vector_set_maps(tile.ray_vectors, tile.ray_vectors, tile.n))
+    return automorphism_group(tile.ray_vectors, tile.n)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,68 @@ def test_affine_dim_of_independent_points():
         assert eq.affine_dim(pts) == k
 
 
+def oracle_affine_dim(points):
+    """The differencing affine_dim that homogenization replaced: the rank of
+    the differences p - p_0, computed in Fraction arithmetic."""
+    pts = [eq.vec_q(p) for p in points]
+    if not pts:
+        raise ValueError("affine_dim of an empty point list")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("points of mixed ambient dimension")
+    if len(pts) == 1:
+        return 0
+    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+    return eq.int_rank(eq.int_rows(diffs))
+
+
+def _rational(rng):
+    return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+
+
+def _point_set(rng, d, kind):
+    """Seeded rational points in Q^d: one point repeated, points on a line,
+    points on a random affine k-flat, or a full-dimensional set."""
+    p0 = [_rational(rng) for _ in range(d)]
+    count = rng.randint(1, d + 4)
+    if kind == "repeated":
+        return [tuple(p0)] * count
+    k = {"collinear": 1, "flat": rng.randint(0, d), "full": d}[kind]
+    dirs = [[_rational(rng) for _ in range(d)] for _ in range(k)]
+    if kind == "full":
+        count = max(count, d + 1)
+    pts = []
+    for _ in range(count):
+        ts = [_rational(rng) for _ in dirs]
+        pts.append(tuple(x + sum((t * v[c] for t, v in zip(ts, dirs)), F(0))
+                         for c, x in enumerate(p0)))
+    if rng.random() < 0.3:
+        pts.append(pts[0])  # a repeated point inside a larger set
+    return pts
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_affine_dim_matches_the_differencing_oracle(d):
+    import random
+
+    rng = random.Random(f"affine-dim/{d}")
+    dims = set()
+    for kind in ("repeated", "collinear", "flat", "full"):
+        for _ in range(40):
+            pts = _point_set(rng, d, kind)
+            want = oracle_affine_dim(pts)
+            assert eq.affine_dim(pts) == want
+            if kind == "full" and rng.random() < 0.5:  # int points take the same path
+                ints = [tuple(int(x * 30) for x in p) for p in pts]
+                assert eq.affine_dim(ints) == oracle_affine_dim(ints)
+            dims.add(want)
+    assert dims == set(range(d + 1))
+    for bad in ([], [(F(1),) * d, (F(1),) * (d + 1)]):
+        with pytest.raises(ValueError):
+            oracle_affine_dim(bad)
+        with pytest.raises(ValueError):
+            eq.affine_dim(bad)
+
+
 def test_symmetric_vectorization():
     v = (1, -1)
     assert eq.rank1_vec(v) == (1, -1, 1)

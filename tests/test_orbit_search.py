@@ -12,6 +12,7 @@ import pytest
 
 from vcdcycle import exactq as eq
 from vcdcycle import sharbly as sh
+from vcdcycle import voronoi as vr
 from vcdcycle.exactq import int_det, mat_mul_int, mat_vec_int
 
 from test_exactq import cofactor_adjugate
@@ -310,3 +311,86 @@ def test_primitive_normalize_bools_and_zero():
     for zero in ([0, 0], (0,), [False, False], [Q(0), 0], []):
         with pytest.raises(ValueError):
             eq.primitive_normalize(zero)
+
+
+# ---------------------------------------------------------------------------
+# _pair_data: the one-comprehension kernel against the loop kernel it replaced
+
+
+def oracle_pair_data(vectors, n):
+    s = [[0] * n for _ in range(n)]
+    for v in vectors:
+        for i in range(n):
+            for j in range(n):
+                s[i][j] += v[i] * v[j]
+    dets, adj = eq.int_det_adjugate(s)
+    m = len(vectors)
+    av = [mat_vec_int(adj, v) for v in vectors]
+    npair = [[sum(x * y for x, y in zip(av[i], vectors[j])) for j in range(m)]
+             for i in range(m)]
+    row_keys = tuple(
+        (npair[i][i], tuple(sorted(abs(npair[i][j]) for j in range(m))))
+        for i in range(m)
+    )
+    return npair, row_keys, (n, m, dets, tuple(sorted(row_keys)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_data_matches_the_loop_kernel(n):
+    rng = random.Random(f"pair-data/{n}")
+    for _ in range(100):
+        vs = _random_symbol(rng, n).vectors
+        assert sh._pair_data.__wrapped__(vs, n) == oracle_pair_data(vs, n)
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups: the stabilizer chain against the full enumeration
+
+
+def oracle_elements(vectors, n):
+    return sorted(g for g, _ in sh.vector_set_maps(vectors, vectors, n))
+
+
+def _check_group(vectors, n, group):
+    enumerated = oracle_elements(vectors, n)
+    assert group.order == len(enumerated)
+    assert group.elements() == enumerated
+    _, a = sh.canonicalize(vectors, n)
+    for g, sign in group.generators:
+        assert int_det(g) == 1 and sh.act(g, a) == (sign, a)
+
+
+@pytest.mark.parametrize("name, order", [("A2", 6), ("A3", 24), ("A4", 120), ("D4", 576),
+                                         ("D5", 1920)])
+def test_tile_groups_match_the_enumeration(name, order):
+    tile = vr.builtin_tile(name)
+    group = sh.automorphism_group(tile.ray_vectors, tile.n)
+    assert group.order == order
+    _check_group(tile.ray_vectors, tile.n, group)
+
+
+@pytest.mark.parametrize("seed, n", CASES)
+def test_symbol_groups_and_self_negation_match_the_enumeration(seed, n):
+    rng = random.Random(f"automorphisms/{seed}/{n}")
+    negating = fixed = 0
+    for _ in range(40):
+        a = _random_symbol(rng, n)
+        group = sh.automorphism_group(a.vectors, n)
+        _check_group(a.vectors, n, group)
+        first = next((g for g, _ in sh.equivalences(a, a, want_sign=-1)), None)
+        assert sh.self_negation_witness(a) == first
+        assert any(s == -1 for _, s in group.generators) == (first is not None)
+        negating += first is not None
+        fixed += first is None
+    assert negating >= 3 and fixed >= 3  # both answers of the sign test occur
+
+
+def test_the_chain_visits_a_few_leaves(monkeypatch):
+    """D4: 13 leaves for the group of order 576, which has 1152 leaves to
+    enumerate (each element and its negative)."""
+    leaves = []
+    complete = sh._complete
+    monkeypatch.setattr(sh, "_complete", lambda *args: leaves.append(1) or complete(*args))
+    tile = vr.builtin_tile("D4")
+    assert sh.automorphism_group(tile.ray_vectors, 4).order == 576
+    assert len(leaves) == 13
