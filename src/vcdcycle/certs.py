@@ -139,7 +139,7 @@ def _negates(g, basic: BasicSharbly) -> bool:
 
 
 def _check_positivity(payload: dict) -> tuple[bool, str]:
-    from .cosharbly import epsilon, is_flipon, section_points
+    from .cosharbly import epsilon, is_flipon, section_rays
 
     positives = 0
     for item in payload["verdicts"]:
@@ -150,7 +150,7 @@ def _check_positivity(payload: dict) -> tuple[bool, str]:
             if item["verdict"] != "flipon":
                 return False, "degenerate term not marked as flipon"
             continue
-        sign = epsilon(section_points(rep), n)
+        sign = epsilon(section_rays(rep), n)
         if sign != int(item["sign"]):
             return False, "orientation sign mismatch"
         if coeff * sign > 0:

@@ -29,6 +29,14 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _budget(s: str) -> int:
+    """A --budget-nodes value: an integer >= 0."""
+    budget = int(s)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
+
+
 def _check_writable(args) -> None:
     """Fail fast on unwritable output paths, before long computations."""
     import os
@@ -342,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cert:
             sp.add_argument("--cert", help="certificate JSON path")
         if budget:
-            sp.add_argument("--budget-nodes", type=int, default=10000)
+            sp.add_argument("--budget-nodes", type=_budget, default=10000)
 
     forms = sub.add_parser("forms").add_subparsers(dest="action", required=True)
     f_list = forms.add_parser("list")
@@ -409,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("repro").add_subparsers(dest="action", required=True)
     ra = rep.add_parser("all")
     ra.add_argument("--seed", type=int, default=0)
-    ra.add_argument("--budget-nodes", type=int, default=10000)
+    ra.add_argument("--budget-nodes", type=_budget, default=10000)
     ra.add_argument("--skip", help="comma-separated criterion numbers to skip")
     ra.set_defaults(fn=cmd_repro_all)
 

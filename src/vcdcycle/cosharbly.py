@@ -1,57 +1,61 @@
 """Sign and degeneracy certificates on the cocycle side.
 
 The pairing that detects the fundamental class assigns a top symbol the
-signed volume of its section simplex.  Nothing here evaluates a volume:
-degenerate symbols (flipons) are in the kernel, and every other term of a
-correctly oriented cycle must carry a positive sign, so positivity of the
-pairing is certified from orientation signs and exact rank computations
-alone.
+signed volume of its section simplex.  The section point of a vector v is
+the ray v v^t scaled to trace 1, and that trace, |v|^2, is positive, so
+every test here runs on the integer rays themselves: scaling a ray by a
+positive factor changes neither a rank nor the sign of a determinant.
+Nothing here evaluates a volume: degenerate symbols (flipons) are in the
+kernel, and every other term of a correctly oriented cycle must carry a
+positive sign, so positivity of the pairing is certified from orientation
+signs and exact rank computations alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactq import (
+    IntVector,
     Q,
-    _rank_from_veclen,
     int_det,
     int_rank,
-    int_rows,
     rank1_vec,
     vec_trace,
 )
 from .sharbly import BasicSharbly
 
 
-def epsilon(points: Sequence[Sequence], n: Optional[int] = None) -> int:
-    """Orientation sign of d ordered section points; 0 when degenerate.
+def section_rays(basic: BasicSharbly) -> tuple[IntVector, ...]:
+    """The rays v v^t of the symbol's vectors, in upper-triangle coordinates;
+    section point i is ray i divided by its (positive) trace."""
+    return tuple(rank1_vec(v) for v in basic.vectors)
 
-    The sign is the determinant sign of the point coordinates themselves:
-    the section simplex inherits the orientation of the cone frame rooted
-    at the origin, which makes the sign of an oriented top cone's section
-    equal +1.
+
+def epsilon(rays: Sequence[Sequence[int]], n: int) -> int:
+    """Orientation sign of the section simplex of d = n (n + 1) / 2 ordered
+    integer rays, each of positive trace; 0 when degenerate.
+
+    The section points are the rays scaled by their positive traces, so
+    their determinant has the sign of det of the rays: the section simplex
+    inherits the orientation of the cone frame rooted at the origin, which
+    makes the sign of an oriented top cone's section equal +1.
     """
-    d = len(points[0])
-    if n is None:
-        n = _rank_from_veclen(d)
-    if len(points) != d:
-        raise ValueError("need exactly as many points as coordinates")
-    for p in points:
-        if vec_trace(p, n) != 1:
-            raise ValueError("point is not on the trace-1 section")
-    dv = int_det(int_rows(points))  # int_rows scales each row by a positive factor
+    d = n * (n + 1) // 2
+    if len(rays) != d or any(len(r) != d for r in rays):
+        raise ValueError("need exactly as many rays as coordinates")
+    if any(vec_trace(r, n) <= 0 for r in rays):
+        raise ValueError("ray does not meet the trace-1 section")
+    dv = int_det(rays)
     return (dv > 0) - (dv < 0)
 
 
-def section_points(basic: BasicSharbly) -> tuple[tuple[Q, ...], ...]:
-    """Trace-1 scalings of the rank-1 forms of the symbol's vectors."""
-    from .voronoi import normalize_to_section
-
-    return tuple(
-        normalize_to_section(rank1_vec(v), basic.n) for v in basic.vectors
-    )
+def section_affine_dim(rays: Sequence[Sequence[int]], n: int) -> int:
+    """Dimension of the affine span of the section points of integer rays of
+    positive trace: the rank of the rows (ray, trace(ray)), the points
+    homogenized by a coordinate 1 and scaled by the trace, less one."""
+    return int_rank([(*r, vec_trace(r, n)) for r in rays]) - 1
 
 
 def is_flipon(basic: BasicSharbly) -> bool:
@@ -64,8 +68,7 @@ def is_flipon(basic: BasicSharbly) -> bool:
     d = n * (n + 1) // 2
     if len(basic.vectors) != d:
         raise ValueError("flipon test applies to top symbols only")
-    rows = [rank1_vec(v) for v in basic.vectors]
-    return int_rank(rows) < d
+    return int_rank(section_rays(basic)) < d
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def mu_sign_certificate(z) -> PositivityCertificate:
         if is_flipon(rep):
             verdicts.append(TermVerdict(rep.vectors, coeff, "flipon", 0))
             continue
-        sign = epsilon(section_points(rep), rep.n)
+        sign = epsilon(section_rays(rep), rep.n)
         if coeff * sign > 0:
             verdicts.append(TermVerdict(rep.vectors, coeff, "proper-positive", sign))
             proper_positive += 1

@@ -2,14 +2,18 @@
 
 Every verified quantity in this package is computed here, over Q.  No
 floating point enters any trusted path.  Inside, all elimination runs over
-the integers: rational rows are first scaled to primitive integer rows, and
-every elimination step is the one fraction-free (Bareiss) `pivot`, whose
-divisions are exact and whose entries stay minors of the input, so
-coefficient growth is polynomial at the sizes we care about (matrices up to
-roughly 20 x 20).  The adjugate, too, is read off one `pivot` elimination.
-`fractions.Fraction` appears only at the edges: rational input is accepted,
-and results such as solutions and kernel vectors are read off the integer
-tableau as `Fraction(x, p)`.
+the integers: every elimination step is the one fraction-free (Bareiss)
+`pivot`, whose divisions are exact and whose entries stay minors of the
+input, so coefficient growth is polynomial at the sizes we care about
+(matrices up to roughly 20 x 20).  The adjugate, too, is read off one
+`pivot` elimination.  The kernels (`int_det`, `independent_rows`,
+`int_rank`, `int_det_adjugate`, the integer matrix products) take integer
+rows; callers whose data are integer from the start (the sharbly vector
+lists, the cosharbly section rays) pass them as they are.
+`fractions.Fraction` appears only at the edges: rational input (to
+`solve`, `nullspace`, `int_rows`, `primitive_normalize`) is scaled to
+primitive integer rows first, and results such as solutions and kernel
+vectors are read off the integer tableau as `Fraction(x, p)`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -271,16 +276,6 @@ def nullspace(m) -> list[Vector]:
     return basis
 
 
-def affine_dim(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine span of a nonempty list of (int or Fraction)
-    points: the rank of the points homogenized by a coordinate 1, less one."""
-    if not points:
-        raise ValueError("affine_dim of an empty point list")
-    if any(len(p) != len(points[0]) for p in points):
-        raise ValueError("points of mixed ambient dimension")
-    return int_rank(int_rows([(*p, 1) for p in points])) - 1
-
-
 def primitive_normalize(v: Sequence) -> IntVector:
     """Canonical representative of the line through v.
 
@@ -364,11 +359,11 @@ def quad_value(yvec: Sequence, v: Sequence[int], n: int):
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in a)
+    return tuple(tuple(sum(map(mul, r, c)) for c in bt) for r in a)
 
 
 def mat_vec_int(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
-    return tuple(sum(x * y for x, y in zip(r, v)) for r in a)
+    return tuple(sum(map(mul, r, v)) for r in a)
 
 
 def int_matrix_inverse(a: Sequence[Sequence[int]]) -> tuple:

@@ -17,8 +17,8 @@ from . import cycle as cy
 from . import data
 from . import polytope as pt
 from . import voronoi as vr
-from .cosharbly import epsilon, is_flipon, mu_sign_certificate, section_points
-from .exactq import affine_dim, int_det, int_rank, mat_mul_int
+from .cosharbly import epsilon, is_flipon, mu_sign_certificate, section_affine_dim, section_rays
+from .exactq import int_det, int_rank, mat_mul_int
 from .sharbly import AntisymSum, SharblyChain, ZERO, boundary, canonicalize
 
 
@@ -358,9 +358,9 @@ def criterion_7(seed: int = 0) -> dict:
             count += 1
             tested += 1
             flip = is_flipon(basic)
-            pts = section_points(basic)
-            oracle_rank = affine_dim(pts) <= d - 2
-            oracle_eps = epsilon(pts, n) == 0
+            rays = section_rays(basic)
+            oracle_rank = section_affine_dim(rays, n) <= d - 2
+            oracle_eps = epsilon(rays, n) == 0
             if not (flip == oracle_rank == oracle_eps):
                 agree = False
             if flip:

@@ -166,16 +166,26 @@ def boundary_basic(basic: BasicSharbly) -> SharblyChain:
     sorted and distinct, as `canonicalize` leaves them).
 
     Dropping one vector keeps such a list canonical with sign +1, so each
-    face goes in as it is when it spans Q^n, and vanishes otherwise.
+    face goes in as it is when it spans Q^n, and vanishes otherwise.  A
+    face fails to span exactly when the vector it drops is a coloop: one
+    elimination picks a base A (as columns), and base vector k is a coloop
+    when entry k of adj(A) v, the k-th coordinate of v over the base times
+    det(A), is 0 for every vector v outside the base.
     """
     if basic.degree < 1:
         raise ValueError("boundary is defined for degree >= 1")
     out = SharblyChain()
     n, vs = basic.n, basic.vectors
+    base = independent_rows(vs, n)
+    if len(base) < n:
+        return out  # no face spans
+    _, adj = int_det_adjugate(list(zip(*(vs[i] for i in base))))
+    others = [v for i, v in enumerate(vs) if i not in base]
+    coloops = {i for i, row in zip(base, adj)
+               if not any(sum(map(mul, row, v)) for v in others)}
     for i in range(len(vs)):
-        face = vs[:i] + vs[i + 1 :]
-        if len(independent_rows(face, n)) == n:
-            out.add(BasicSharbly(n, face), (-1) ** i)  # (-1)^{i+1}, 1-based
+        if i not in coloops:
+            out.add(BasicSharbly(n, vs[:i] + vs[i + 1 :]), (-1) ** i)  # (-1)^{i+1}, 1-based
     return out
 
 

@@ -4,6 +4,8 @@ Each test runs one criterion end to end through the shared drivers and
 prints a one-line pass/fail verdict (visible with `pytest -s`).
 """
 
+import pytest
+
 from vcdcycle import repro
 
 _BUDGETS = {1: 1.0, 2: 30.0, 3: 1800.0, 4: 300.0, 5: 3600.0, 6: 300.0, 7: 300.0,
@@ -90,6 +92,16 @@ def test_criterion_7_degeneracy_and_positivity():
     assert r["constructed_flipon"]
     assert r["positivity"] == {2: True, 3: True, 4: True}
     _assert_criterion(7, r)
+
+
+@pytest.mark.parametrize("seed, flipons", [(0, 34), (1, 49), (2, 38)])
+def test_criterion_7_finds_the_pinned_flipons(seed, flipons):
+    # the flipon test and both oracles agreeing is not enough: all three
+    # could be wrong the same way, so pin how many flipons each seed holds
+    r = repro.criterion_7(seed)
+    assert r["symbols_tested"] == 2000
+    assert r["flipons_seen"] == flipons
+    assert r["oracles_agree"] and r["ok"]
 
 
 def test_criterion_8_dataset_integrity():

@@ -483,6 +483,25 @@ def test_cli_rejects_out_where_nothing_is_written(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangulations", "enumerate", "--form", "A3", "--facet", "0,1,2,3,4"],
+        ["flip", "path", "--form", "A3", "--facet", "0,1,2,3,4", "--in", "pair.json"],
+        ["flip", "verify", "--form", "A3", "--facet", "0,1,2,3,4", "--in", "pair.json"],
+        ["repro", "all", "--skip", "1,2,3,4,5,6,7,8"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["-1", "-10000", "x"])
+def test_cli_rejects_a_bad_budget_at_parse_time(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--budget-nodes", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --budget-nodes" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_repro_subset(capsys):
     assert cli.main(["repro", "all", "--skip", "3,5,6,7"]) == 0
     out = capsys.readouterr().out

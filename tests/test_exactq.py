@@ -38,14 +38,6 @@ def test_solve_postcondition():
         assert sum(F(a) * v for a, v in zip(row, x)) == b
 
 
-def test_affine_dim_examples():
-    assert eq.affine_dim([(5, 7)]) == 0
-    assert eq.affine_dim([(0,), (1,), (2,)]) == 1
-    assert eq.affine_dim([(0, 0), (1, 0), (1, 1), (0, 1)]) == 2
-    with pytest.raises(ValueError):
-        eq.affine_dim([])
-
-
 def test_nullspace_examples():
     assert eq.nullspace([[1, 0], [0, 1]]) == []
     (k,) = eq.nullspace([[1, 1]])
@@ -85,81 +77,6 @@ def test_primitive_normalize_scale_invariant(v, a):
 def test_det_rank_relation(n, rng):
     m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
     assert (eq.int_det(m) != 0) == (eq.int_rank(eq.int_rows(m)) == n)
-
-
-def test_affine_dim_of_independent_points():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(20):
-        k = rng.randint(1, 4)
-        while True:
-            pts = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(k + 1)]
-            if eq.affine_dim(pts) == k:
-                break
-        assert eq.affine_dim(pts) == k
-
-
-def oracle_affine_dim(points):
-    """The differencing affine_dim that homogenization replaced: the rank of
-    the differences p - p_0, computed in Fraction arithmetic."""
-    pts = [eq.vec_q(p) for p in points]
-    if not pts:
-        raise ValueError("affine_dim of an empty point list")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise ValueError("points of mixed ambient dimension")
-    if len(pts) == 1:
-        return 0
-    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-    return eq.int_rank(eq.int_rows(diffs))
-
-
-def _rational(rng):
-    return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
-
-
-def _point_set(rng, d, kind):
-    """Seeded rational points in Q^d: one point repeated, points on a line,
-    points on a random affine k-flat, or a full-dimensional set."""
-    p0 = [_rational(rng) for _ in range(d)]
-    count = rng.randint(1, d + 4)
-    if kind == "repeated":
-        return [tuple(p0)] * count
-    k = {"collinear": 1, "flat": rng.randint(0, d), "full": d}[kind]
-    dirs = [[_rational(rng) for _ in range(d)] for _ in range(k)]
-    if kind == "full":
-        count = max(count, d + 1)
-    pts = []
-    for _ in range(count):
-        ts = [_rational(rng) for _ in dirs]
-        pts.append(tuple(x + sum((t * v[c] for t, v in zip(ts, dirs)), F(0))
-                         for c, x in enumerate(p0)))
-    if rng.random() < 0.3:
-        pts.append(pts[0])  # a repeated point inside a larger set
-    return pts
-
-
-@pytest.mark.parametrize("d", range(1, 7))
-def test_affine_dim_matches_the_differencing_oracle(d):
-    import random
-
-    rng = random.Random(f"affine-dim/{d}")
-    dims = set()
-    for kind in ("repeated", "collinear", "flat", "full"):
-        for _ in range(40):
-            pts = _point_set(rng, d, kind)
-            want = oracle_affine_dim(pts)
-            assert eq.affine_dim(pts) == want
-            if kind == "full" and rng.random() < 0.5:  # int points take the same path
-                ints = [tuple(int(x * 30) for x in p) for p in pts]
-                assert eq.affine_dim(ints) == oracle_affine_dim(ints)
-            dims.add(want)
-    assert dims == set(range(d + 1))
-    for bad in ([], [(F(1),) * d, (F(1),) * (d + 1)]):
-        with pytest.raises(ValueError):
-            oracle_affine_dim(bad)
-        with pytest.raises(ValueError):
-            eq.affine_dim(bad)
 
 
 def test_symmetric_vectorization():
@@ -261,3 +178,23 @@ def test_int_matrix_inverse_roundtrip_sl_n(n, rng):
 def test_q_str_roundtrip():
     for x in (F(3), F(-5, 7), F(0), F(22, 11)):
         assert eq.q_parse(eq.q_str(x)) == x
+
+
+def naive_mat_mul(a, b):
+    """The triple loop: the oracle for `mat_mul_int` and `mat_vec_int`."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(r) for r in out)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_mat_mul_and_mat_vec_match_the_triple_loop(m, k, n, rng):
+    a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)]
+    b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+    v = [rng.randint(-10**12, 10**12) for _ in range(k)]
+    assert eq.mat_mul_int(a, b) == naive_mat_mul(a, b)
+    assert eq.mat_vec_int(a, v) == tuple(r[0] for r in naive_mat_mul(a, [[x] for x in v]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdcycle import sharbly as sh
-from vcdcycle.exactq import int_det
+from vcdcycle.exactq import independent_rows, int_det
 
 E1, E2 = (1, 0), (0, 1)
 E12 = (1, -1)
@@ -272,3 +272,69 @@ def test_boundary_basic_matches_the_canonicalizing_path(n):
         got = sh.boundary_basic(basic)
         assert list(got.terms.items()) == list(oracle.terms.items())
 
+
+def per_face_boundary_basic(basic):
+    """The boundary with one spanning test per face: the oracle for the
+    coloop test of `boundary_basic`."""
+    out = sh.SharblyChain()
+    n, vs = basic.n, basic.vectors
+    for i in range(len(vs)):
+        face = vs[:i] + vs[i + 1 :]
+        if len(independent_rows(face, n)) == n:
+            out.add(sh.BasicSharbly(n, face), (-1) ** i)
+    return out
+
+
+def _with_coloops(rng, n, k):
+    """A canonical list with at least k coloops: distinct lines spanning the
+    coordinate subspace x_0 = ... = x_{k-1} = 0 (of dimension n - k >= 2),
+    one to three more than it needs, plus k random vectors spanning a
+    complement of it."""
+    while True:
+        flat = [(0,) * k + tuple(rng.randint(-3, 3) for _ in range(n - k))
+                for _ in range(rng.randint(n - k + 1, n - k + 3))]
+        off = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if any(not any(v) for v in flat + off):
+            continue
+        res = sh.canonicalize(flat + off)
+        if res is not sh.ZERO:
+            return res[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_boundary_basic_matches_the_per_face_rank_test(n):
+    rng = random.Random(f"coloops/{n}")
+    for k in range(1, n - 1):  # rank 2 has no coloops: any two lines span
+        for _ in range(60):
+            basic = _with_coloops(rng, n, k)
+            got, want = sh.boundary_basic(basic), per_face_boundary_basic(basic)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert len(got.terms) <= len(basic.vectors) - k
+    tested = 0
+    while tested < 100:
+        degree = rng.randint(1, 3)
+        vs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + degree)]
+        if any(not any(v) for v in vs):
+            continue
+        res = sh.canonicalize(vs)
+        if res is sh.ZERO:
+            continue
+        tested += 1
+        got, want = sh.boundary_basic(res[1]), per_face_boundary_basic(res[1])
+        assert list(got.terms.items()) == list(want.terms.items())
+    # every top cone of the cycle, as cycle.verify_boundary_zero takes it
+    from vcdcycle import cycle as cy
+
+    for prov in cy.build_zG(n).provenance:
+        got, want = sh.boundary_basic(prov.basic), per_face_boundary_basic(prov.basic)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_boundary_basic_drops_the_faces_without_a_coloop():
+    # e3 is off the plane x_2 = 0 that the other three vectors span, so the
+    # face that drops it does not span Q^3
+    _, basic = sh.canonicalize([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    got = sh.boundary_basic(basic)
+    assert len(got.terms) == 3
+    assert all((0, 0, 1) in face.vectors for face in got.terms)
+    assert got == per_face_boundary_basic(basic)
