@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import mul
 from typing import Callable
 
-from .exactq import Q, int_det, int_rank, pairing_row, q_parse, quad_value
+from .exactq import Q, int_det, int_rank, pairing_row, q_parse
 from .sharbly import BasicSharbly, SharblyChain, ZERO, act, boundary
 
 SCHEMA_VERSION = 1
@@ -232,27 +233,26 @@ def _check_flip_identity(payload: dict) -> tuple[bool, str]:
 def _check_census(payload: dict) -> tuple[bool, str]:
     vectors = _vectors(payload["rays"])
     n = len(vectors[0])
+    if any(len(v) != n for v in vectors):
+        return False, f"a ray whose length is not {n}"
     d = n * (n + 1) // 2
+    rows = [pairing_row(v) for v in vectors]  # rows[i] . y = v_i^t Y v_i
     facets = payload["facets"]
-    for f in facets:
-        labels = set(int(x) for x in f["labels"])
-        functional = tuple(int(x) for x in f["functional"])
-        tight_rows = []
-        for i, v in enumerate(vectors):
-            val = quad_value(functional, v, n)
-            if val < 0:
-                return False, "functional negative on a ray"
-            if (val == 0) != (i in labels):
-                return False, "tight set mismatch"
-            if val == 0:
-                tight_rows.append(pairing_row(v))
-        if int_rank(tight_rows) != d - 1:
-            return False, "facet is not of codimension one"
-    counts = payload["counts"]
     sizes: dict[str, int] = {}
     for f in facets:
-        k = str(len(f["labels"]))
-        sizes[k] = sizes.get(k, 0) + 1
+        functional = tuple(int(x) for x in f["functional"])
+        if len(functional) != d:
+            return False, f"a functional whose length is not {d}"
+        values = [sum(map(mul, row, functional)) for row in rows]
+        if min(values) < 0:
+            return False, "functional negative on a ray"
+        tight = [i for i, val in enumerate(values) if val == 0]
+        if tight != sorted(int(x) for x in f["labels"]):
+            return False, "tight set mismatch"
+        if int_rank([rows[i] for i in tight]) != d - 1:
+            return False, "facet is not of codimension one"
+        sizes[str(len(tight))] = sizes.get(str(len(tight)), 0) + 1
+    counts = payload["counts"]
     if counts.get("total") != len(facets) or counts.get("by_rays") != sizes:
         return False, "census counts mismatch"
     return True, "census certificate valid"

@@ -316,7 +316,11 @@ def cmd_cert_check(args) -> int:
 
 
 def cmd_repro_all(args) -> int:
-    skip = tuple(int(x) for x in args.skip.split(",") if x) if args.skip else ()
+    skip = {int(x) for x in args.skip.split(",") if x} if args.skip else set()
+    if not skip <= repro.CRITERIA.keys():
+        raise ValueError(f"--skip names no criterion {min(skip - repro.CRITERIA.keys())}")
+    if skip >= repro.CRITERIA.keys():
+        raise ValueError("--skip leaves no criterion to run")
     reports = repro.run_all(seed=args.seed, budget=args.budget_nodes, skip=skip)
     width = max(len(r["name"]) for r in reports)
     all_ok = True

@@ -10,6 +10,7 @@ tight sets, with a popcount prefilter.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .exactq import _row_reduce_content, independent_rows, int_det_adjugate
@@ -110,7 +111,7 @@ def extreme_rays(constraints: Sequence[Sequence[int]]) -> list[tuple[tuple[int, 
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _adjacent(common: int, m1: int, m2: int, masks: list[int]) -> bool:

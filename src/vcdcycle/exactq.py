@@ -2,18 +2,19 @@
 
 Every verified quantity in this package is computed here, over Q.  No
 floating point enters any trusted path.  Inside, all elimination runs over
-the integers: every elimination step is the one fraction-free (Bareiss)
-`pivot`, whose divisions are exact and whose entries stay minors of the
-input, so coefficient growth is polynomial at the sizes we care about
-(matrices up to roughly 20 x 20).  The adjugate, too, is read off one
-`pivot` elimination.  The kernels (`int_det`, `independent_rows`,
-`int_rank`, `int_det_adjugate`, the integer matrix products) take integer
-rows; callers whose data are integer from the start (the sharbly vector
-lists, the cosharbly section rays) pass them as they are.
-`fractions.Fraction` appears only at the edges: rational input (to
-`solve`, `nullspace`, `int_rows`, `primitive_normalize`) is scaled to
-primitive integer rows first, and results such as solutions and kernel
-vectors are read off the integer tableau as `Fraction(x, p)`.
+the integers.  `int_det` and `_gauss_jordan` (behind `solve`, `nullspace`
+and `int_det_adjugate`, on the Bareiss `pivot`) are fraction-free Bareiss
+eliminations: their divisions are exact and their entries stay minors of
+the input, so coefficient growth is polynomial.  `independent_rows` (behind
+`int_rank`) is a gcd echelon instead, which divides each reduced row by its
+content: that keeps the entries small on our matrices (up to roughly
+20 x 20) but bounds them by no minor.  The kernels take integer rows;
+callers whose data are integer from the start (the sharbly vector lists,
+the cosharbly section rays) pass them as they are.  `fractions.Fraction`
+appears only at the edges: rational input (to `solve`, `nullspace`,
+`int_rows`, `primitive_normalize`) is scaled to primitive integer rows
+first, and results such as solutions and kernel vectors are read off the
+integer tableau as `Fraction(x, p)`.
 """
 
 from __future__ import annotations
@@ -343,18 +344,6 @@ def pairing_row(v: Sequence[int]) -> IntVector:
         for i in range(n)
         for j in range(i, n)
     )
-
-
-def quad_value(yvec: Sequence, v: Sequence[int], n: int):
-    """v^t Y v for Y given by upper-triangle coordinates yvec."""
-    val = 0
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            c = yvec[k]
-            k += 1
-            val += c * v[i] * v[j] if i == j else 2 * c * v[i] * v[j]
-    return val
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:

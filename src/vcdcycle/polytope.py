@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -412,9 +412,15 @@ def _flip_from_circuit(
 
 
 def supported_flips(config: PointConfiguration, triangulation) -> list[Flip]:
-    """All flips applicable to the triangulation (result validity checked)."""
+    """All flips applicable to the triangulation (result validity checked).
+
+    The candidates are the circuits of the interior walls' label sets, then
+    of each simplex plus one point, one circuit per label set.  Flips that
+    tie in the sort keep this order, which `_regular_flip_search` explores:
+    both flips from the D5 facet's T1 remove all 16 simplices.
+    """
     tri = frozenset(frozenset(s) for s in triangulation)
-    m = config.ambient_dim
+    circuit = cache(partial(_circuit_of, config))  # for this call only
     candidates: dict[frozenset, Circuit] = {}
 
     wall_owner: dict[frozenset, list] = {}
@@ -423,14 +429,14 @@ def supported_flips(config: PointConfiguration, triangulation) -> list[Flip]:
             wall_owner.setdefault(s - {v}, []).append(s)
     for wall, owners in wall_owner.items():
         if len(owners) == 2:
-            z = _circuit_of(config, owners[0] | owners[1])
+            z = circuit(owners[0] | owners[1])
             if z is not None:
                 candidates[z.labels] = z
     for s in tri:
         for w in config.labels:
             if w in s:
                 continue
-            z = _circuit_of(config, set(s) | {w})
+            z = circuit(s | {w})
             if z is not None and w in z.labels:
                 candidates.setdefault(z.labels, z)
 

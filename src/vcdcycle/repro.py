@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Collection
 
 from . import cycle as cy
 from . import data
@@ -418,7 +418,7 @@ def run_criterion(num: int, seed: int = 0, budget: int = 10000) -> dict:
     return fn()
 
 
-def run_all(seed: int = 0, budget: int = 10000, skip: tuple = ()) -> list[dict]:
+def run_all(seed: int = 0, budget: int = 10000, skip: Collection[int] = ()) -> list[dict]:
     reports = []
     for num, (name, _) in sorted(CRITERIA.items()):
         if num in skip:

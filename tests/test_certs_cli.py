@@ -427,6 +427,117 @@ def test_cli_cert_check_rejects_malformed_simplices(tmp_path, capsys, a3_triangu
     assert capsys.readouterr().out.startswith("malformed certificate: ")
 
 
+@pytest.fixture(scope="module", params=["A3", "D5"])
+def census_cert(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("census") / "census.json"
+    assert cli.main(["tile", "facets", "--form", request.param, "--cert", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _recount(payload):
+    """Counts that agree with the facets, so that only the mutated facet
+    data can fail the check."""
+    sizes = {}
+    for f in payload["facets"]:
+        k = str(len(f["labels"]))
+        sizes[k] = sizes.get(k, 0) + 1
+    payload["counts"] = {"total": len(payload["facets"]), "by_rays": sizes}
+
+
+def _negate_a_functional(payload):
+    f = payload["facets"][0]
+    f["functional"] = [-x for x in f["functional"]]
+
+
+def _add_a_label(payload):
+    labels = payload["facets"][0]["labels"]
+    labels.append(min(set(range(len(payload["rays"]))) - set(labels)))
+    labels.sort()
+    _recount(payload)
+
+
+def _add_a_label_out_of_range(payload):
+    payload["facets"][0]["labels"].append(len(payload["rays"]))
+    _recount(payload)
+
+
+def _repeat_a_label(payload):
+    labels = payload["facets"][0]["labels"]
+    labels.insert(0, labels[0])
+    _recount(payload)
+
+
+def _drop_a_label(payload):
+    del payload["facets"][0]["labels"][0]
+    _recount(payload)
+
+
+def _alter_the_total(payload):
+    payload["counts"]["total"] += 1
+
+
+def _alter_the_sizes(payload):
+    sizes = payload["counts"]["by_rays"]
+    k = next(iter(sizes))
+    sizes[k] -= 1
+    sizes[str(int(k) + 1)] = sizes.get(str(int(k) + 1), 0) + 1
+
+
+def _lengthen_a_functional(payload):
+    payload["facets"][0]["functional"].append(0)
+
+
+def _shorten_a_functional(payload):
+    payload["facets"][0]["functional"].pop()
+
+
+def _lengthen_a_ray(payload):
+    payload["rays"][1].append(0)
+
+
+def _shorten_a_ray(payload):
+    payload["rays"][1].pop()
+
+
+def _sum_of_two_facets(payload):
+    # F1 + F2 is nonnegative on every ray and zero exactly on the rays
+    # common to both: a face of codimension two, not a facet
+    f1, f2 = payload["facets"][:2]
+    payload["facets"][0] = {
+        "labels": sorted(set(f1["labels"]) & set(f2["labels"])),
+        "functional": [x + y for x, y in zip(f1["functional"], f2["functional"])],
+    }
+    _recount(payload)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_negate_a_functional, "functional negative on a ray"),
+    (_add_a_label, "tight set mismatch"),
+    (_add_a_label_out_of_range, "tight set mismatch"),
+    (_repeat_a_label, "tight set mismatch"),
+    (_drop_a_label, "tight set mismatch"),
+    (_alter_the_total, "census counts mismatch"),
+    (_alter_the_sizes, "census counts mismatch"),
+    (_lengthen_a_functional, "a functional whose length is not {d}"),
+    (_shorten_a_functional, "a functional whose length is not {d}"),
+    (_lengthen_a_ray, "a ray whose length is not {n}"),
+    (_shorten_a_ray, "a ray whose length is not {n}"),
+    (_sum_of_two_facets, "facet is not of codimension one"),
+])
+def test_cli_cert_check_rejects_a_mutated_census(tmp_path, capsys, census_cert, mutate, message):
+    n = len(census_cert["payload"]["rays"][0])
+    message = message.format(n=n, d=n * (n + 1) // 2)
+    assert certs.check_certificate(census_cert) == (True, "census certificate valid")
+    doc = copy.deepcopy(census_cert)
+    mutate(doc["payload"])
+    assert certs.check_certificate(doc) == (False, message)
+    cert = tmp_path / "census.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["cert", "check", str(cert)]) == 1
+    assert capsys.readouterr().out == message + "\n"
+
+
 def test_cli_budget_exceeded(tmp_path):
     pair = tmp_path / "unused.json"
     del pair
@@ -506,6 +617,19 @@ def test_cli_repro_subset(capsys):
     assert cli.main(["repro", "all", "--skip", "3,5,6,7"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") >= 4 and "all criteria pass" in out
+
+
+@pytest.mark.parametrize("skip, message", [
+    ("9", "error: --skip names no criterion 9\n"),
+    ("0,3", "error: --skip names no criterion 0\n"),
+    ("1,2,3,4,5,6,7,8", "error: --skip leaves no criterion to run\n"),
+    ("8,7,6,5,4,3,2,1,1", "error: --skip leaves no criterion to run\n"),
+])
+def test_cli_repro_rejects_a_bad_skip_list(capsys, skip, message):
+    assert cli.main(["repro", "all", "--skip", skip]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 def test_cli_triangulate_and_enumerate(tmp_path):

@@ -86,10 +86,21 @@ def test_symmetric_vectorization():
     m = eq.vec_sym((1, -1, 1), 2)
     assert m == [[1, -1], [-1, 1]]
     assert tuple(m[i][j] for i in range(2) for j in range(i, 2)) == (1, -1, 1)
-    # pairing row computes v^t Y v
+    # pairing row computes v^t Y v, written out over the symmetric matrix
     y = (F(2), F(1), F(2))  # [[2,1],[1,2]]
-    assert eq.quad_value(y, (1, -1), 2) == 2
     assert sum(a * b for a, b in zip(eq.pairing_row((1, -1)), y)) == 2
+    import random
+
+    rng = random.Random(0)
+    for n in range(1, 6):
+        for _ in range(40):
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            y = [rng.randint(-5, 5) for _ in range(n * (n + 1) // 2)]
+            m = eq.vec_sym(y, n)
+            vtyv = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
+            row = eq.pairing_row(v)
+            assert len(row) == len(y)
+            assert sum(a * b for a, b in zip(row, y)) == vtyv
 
 
 def test_rank1_output_rank():

@@ -4,7 +4,10 @@ from math import lcm
 
 import pytest
 
+from vcdcycle import cycle as cy
+from vcdcycle import data
 from vcdcycle import polytope as pt
+from vcdcycle import voronoi as vr
 from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import as_q, int_rank, mat_vec_int
 from vcdcycle.sharbly import AntisymSum, _perm_sign
@@ -379,6 +382,107 @@ def test_flip_searches_match_the_separate_searches(seed):
             assert _outcome(pt.flip_path, config, t_a, t_b, budget) == _outcome(
                 oracle_flip_path, config, t_a, t_b, budget
             )
+
+
+# ---------------------------------------------------------------------------
+# supported_flips against the loop with one circuit per wall and per (s, w)
+
+
+def oracle_supported_flips(config, triangulation):
+    """`supported_flips` as it was: one `_circuit_of` per interior wall and
+    per (simplex, point outside it), in the same candidate order."""
+    tri = frozenset(frozenset(s) for s in triangulation)
+    candidates = {}
+    wall_owner = {}
+    for s in tri:
+        for v in s:
+            wall_owner.setdefault(s - {v}, []).append(s)
+    for owners in wall_owner.values():
+        if len(owners) == 2:
+            z = pt._circuit_of(config, owners[0] | owners[1])
+            if z is not None:
+                candidates[z.labels] = z
+    for s in tri:
+        for w in config.labels:
+            if w in s:
+                continue
+            z = pt._circuit_of(config, set(s) | {w})
+            if z is not None and w in z.labels:
+                candidates.setdefault(z.labels, z)
+    flips = []
+    seen = set()
+    for z in candidates.values():
+        f = pt._flip_from_circuit(config, tri, z)
+        if f is None or (f.removed, f.inserted) in seen:
+            continue
+        seen.add((f.removed, f.inserted))
+        if pt.is_valid_triangulation(config, (tri - f.removed) | f.inserted):
+            flips.append(f)
+    flips.sort(key=lambda f: sorted(map(sorted, f.removed)))
+    return flips
+
+
+def _d5_facet_f():
+    config = cy.facet_geometry(vr.builtin_tile("D5"), data.D5_FACET_F).config
+    local = {label: i for i, label in enumerate(sorted(data.D5_FACET_F))}
+    t1, t2 = (
+        frozenset(frozenset(local[x] for x in s) for s in tri)
+        for tri in (data.D5_F_TRIANGULATION_1, data.D5_F_TRIANGULATION_2)
+    )
+    return config, t1, t2
+
+
+def _flip_cases():
+    config, t1, t2 = _d5_facet_f()
+    yield "D5 T1", config, t1
+    yield "D5 T2", config, t2
+    a3 = cy.facet_geometry(vr.builtin_tile("A3"), (0, 1, 2, 3, 4)).config
+    yield "A3", a3, pt.placing_triangulation(a3)
+    d4, _ = vr.section_configuration(vr.builtin_tile("D4"))
+    yield "D4", d4, frozenset(frozenset(s) for s in data.D4_TRIANGULATION)
+    for seed in (0, 1, 2):
+        for k, (config, t_a, t_b) in enumerate(_search_cases(seed, 4)):
+            yield f"seed {seed} case {k} a", config, t_a
+            yield f"seed {seed} case {k} b", config, t_b
+            for f in pt.supported_flips(config, t_a):
+                yield f"seed {seed} case {k} a flipped", config, (t_a - f.removed) | f.inserted
+
+
+@pytest.fixture
+def circuit_calls(monkeypatch):
+    """The label sets `_circuit_of` is called on, in call order."""
+    calls = []
+    circuit_of = pt._circuit_of
+
+    def counting(config, labels):
+        calls.append(frozenset(labels))
+        return circuit_of(config, labels)
+
+    monkeypatch.setattr(pt, "_circuit_of", counting)
+    return calls
+
+
+def test_supported_flips_match_the_per_candidate_loop(circuit_calls):
+    for name, config, tri in _flip_cases():
+        circuit_calls.clear()
+        flips = pt.supported_flips(config, tri)
+        once = list(circuit_calls)
+        circuit_calls.clear()
+        assert flips == oracle_supported_flips(config, tri), name
+        assert len(once) == len(set(once)) and set(once) == set(circuit_calls), name
+
+
+def test_supported_flips_compute_a_circuit_once_per_label_set(circuit_calls):
+    config, t1, _ = _d5_facet_f()
+    flips = pt.supported_flips(config, t1)
+    assert len(circuit_calls) == 8
+    assert [sorted(f.circuit.labels) for f in flips] == [
+        [0, 1, 5, 6, 9, 10, 12, 13],
+        [1, 2, 3, 5, 7, 9, 12, 15],
+    ]
+    circuit_calls.clear()
+    oracle_supported_flips(config, t1)
+    assert len(circuit_calls) == 80
 
 
 # ---------------------------------------------------------------------------
