@@ -178,6 +178,12 @@ def _check_triangulation(payload: dict) -> tuple[bool, str]:
 
     config = PointConfiguration.from_points(points_from_json(payload["points"]))
     tri = triangulation_from_json(payload["simplices"])
+    keys = set(payload["heights"])
+    names = {str(i) for i in config.labels}
+    if keys - names:
+        return False, f"height key {min(keys - names)!r} names no point"
+    if names - keys:
+        return False, f"no height for point {min(names - keys, key=int)}"
     heights = {int(k): q_parse(v) for k, v in payload["heights"].items()}
     total = 0
     for s in tri:
@@ -185,10 +191,7 @@ def _check_triangulation(payload: dict) -> tuple[bool, str]:
         if d == 0:
             return False, "degenerate simplex"
         total += abs(d)
-        for w in config.labels:
-            if w in s:
-                continue
-            lam = _barycentric(config, sorted(s), w)
+        for w, lam in _barycentric(config, s).items():
             lifted = sum(c * heights[l] for l, c in lam.items())
             if not heights[w] > lifted:
                 return False, "height witness violates a lifting inequality"

@@ -8,6 +8,12 @@ decided by integer orientation signs, and regularity comes with rational
 witnesses.  A configuration's points are distinct, so its labels name
 them one to one; circuits, flips and their identities are stated on labels
 (De Loera, Rambau, Santos, *Triangulations*, Ch. 4).
+
+Every determinant and barycentric coordinate of a full simplex is read off
+one integer Gale dual per configuration instance (ibid., Ch. 4-5): a basis
+of the affine dependences of all the points, one row per label.  Its size
+is the corank N - m - 1, which is 2 on the rank-5 facet F, however large
+the ambient dimension m.
 """
 
 from __future__ import annotations
@@ -16,13 +22,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
 from .dd import cone_facets
 from .exactq import (
-    Q, independent_rows, int_det, int_rank, int_rows, nullspace, primitive_normalize,
-    solve, vec_q,
+    Q, independent_rows, int_det, int_det_adjugate, int_rows, nullspace,
+    primitive_normalize, solve, vec_q,
 )
 from .sharbly import AntisymSum
 
@@ -64,15 +71,23 @@ class PointConfiguration:
     def __len__(self) -> int:
         return len(self.points)
 
-    # The hull data below is cached on the instance, never in a module-level
-    # cache keyed on the points: a certificate checker must recompute it
-    # from the certificate's own points, even in the process that wrote it.
+    # The Gale dual and the hull data below are cached on the instance, never
+    # in a module-level cache keyed on the points: a certificate checker must
+    # recompute them from the certificate's own points, even in the process
+    # that wrote it.  Every simplex determinant and barycentric coordinate
+    # comes from the Gale dual.
 
     @cached_property
     def _int_points(self) -> tuple[tuple[int, ...], ...]:
         """All points scaled by one common denominator (a similarity)."""
         l = lcm(*(x.denominator for p in self.points for x in p))
         return tuple(tuple(x.numerator * (l // x.denominator) for x in p) for p in self.points)
+
+    @cached_property
+    def _gale(self) -> Optional["GaleDual"]:
+        """The integer Gale dual, None when the points are not
+        full-dimensional."""
+        return _gale_dual(self)
 
     @cached_property
     def _hull_volume(self) -> int:
@@ -110,34 +125,74 @@ class Flip:
 
 
 # ---------------------------------------------------------------------------
-# integer coordinates
+# integer coordinates and the Gale dual
 
 
 def _homog(config: PointConfiguration) -> list[tuple[int, ...]]:
     return [(1,) + p for p in config._int_points]
 
 
-def config_affine_dim(config: PointConfiguration, labels=None) -> int:
-    pts = config._int_points
-    sel = list(labels) if labels is not None else list(config.labels)
-    base = pts[sel[0]]
-    diffs = [[x - y for x, y in zip(pts[i], base)] for i in sel[1:]]
-    return int_rank(diffs) if diffs else 0
+class GaleDual(NamedTuple):
+    """Rows K, one per label, of an integer basis of the affine dependences
+    x of the points (sum_i x_i (1, p_i) = 0), and the constant kappa of the
+    Gale identity: for m + 1 labels S with complement T,
+
+        det[(1, p_s)], s in S ascending  =  kappa * shuffle(S) * det K_T,
+
+    with K_T the rows of T in ascending order and shuffle(S) the sign of
+    the permutation listing S ascending, then T ascending."""
+
+    rows: tuple[tuple[int, ...], ...]
+    kappa: Q
+
+
+def _gale_dual(config: PointConfiguration) -> Optional[GaleDual]:
+    """The Gale dual, None when the points are not full-dimensional; kappa
+    comes from one basis of the points."""
+    homog = _homog(config)
+    kernel = nullspace(list(zip(*homog)))
+    corank = len(homog) - len(homog[0])
+    if len(kernel) != corank:
+        return None
+    rows = tuple(zip(*int_rows(kernel))) if kernel else ((),) * len(homog)
+    others = independent_rows(rows, corank)  # a T with det K_T != 0
+    basis, _, shuffle = _split(config, set(config.labels) - set(others))
+    kappa = Q(int_det([homog[b] for b in basis]), shuffle * int_det([rows[t] for t in others]))
+    return GaleDual(rows, kappa)
+
+
+def _split(config: PointConfiguration, simplex: Iterable[int]) -> tuple[list, list, int]:
+    """(S, T, shuffle(S)) for m + 1 distinct labels S of the configuration,
+    S and its complement T ascending; ValueError for any other labels."""
+    labels = sorted(simplex)
+    inside = set(labels)
+    n, size = len(config.points), config.ambient_dim + 1
+    others = [t for t in range(n) if t not in inside]
+    if len(labels) != size or len(others) != n - size:  # a label repeated or out of range
+        raise ValueError(f"a simplex is {size} distinct labels of the configuration")
+    # the i-th smallest label of S comes after s_i - i labels of T
+    parity = sum(labels) - len(labels) * (len(labels) - 1) // 2
+    return labels, others, -1 if parity % 2 else 1
 
 
 def _require_full_dim(config: PointConfiguration) -> None:
-    if config_affine_dim(config) != config.ambient_dim:
+    if config._gale is None:
         raise DegenerateConfiguration(
             "configuration is not full-dimensional in its ambient space"
         )
 
 
 def _simplex_det(config: PointConfiguration, simplex: Iterable[int]) -> int:
-    pts = config._int_points
-    labels = sorted(simplex)
-    base = pts[labels[0]]
-    rows = [[x - y for x, y in zip(pts[i], base)] for i in labels[1:]]
-    return int_det(rows)
+    """det[(1, p_s)] over the simplex's labels s in ascending order (m! times
+    its signed volume), read off the Gale dual; 0 when the configuration is
+    not full-dimensional."""
+    _, others, shuffle = _split(config, simplex)
+    gale = config._gale
+    if gale is None:
+        return 0
+    kappa = gale.kappa
+    det = int_det([gale.rows[t] for t in others])
+    return shuffle * det * kappa.numerator // kappa.denominator
 
 
 def simplex_orientation(config: PointConfiguration, simplex: Iterable[int]) -> int:
@@ -153,8 +208,10 @@ def _side(config: PointConfiguration, ridge: Iterable[int], apex: int) -> int:
     For a ridge of m affinely independent points it tells which side of the
     ridge's hyperplane the apex lies on; 0 means on it.
     """
-    pts = config._int_points
-    d = int_det([(1,) + pts[r] for r in sorted(ridge)] + [(1,) + pts[apex]])
+    ridge = list(ridge)
+    d = _simplex_det(config, ridge + [apex])
+    if sum(1 for r in ridge if r > apex) % 2:  # apex's row moves past them
+        d = -d
     return (d > 0) - (d < 0)
 
 
@@ -289,15 +346,26 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
 # regularity
 
 
-def _barycentric(config: PointConfiguration, simplex: Sequence[int], label: int):
-    """Affine coordinates of a point with respect to a full simplex."""
-    pts = config._int_points
-    labels = sorted(simplex)
-    mat = list(zip(*((1,) + pts[i] for i in labels)))
-    sol = solve(mat, (1,) + pts[label])
-    if sol is None:
+def _barycentric(config: PointConfiguration, simplex: Iterable[int]) -> dict:
+    """The affine coordinates, with respect to a full simplex, of each point
+    outside it: {point label: {simplex label: coordinate}}, points ascending.
+
+    With O the complement of the simplex and x a point's column of
+    adj(K_O), the dependence K x is det(K_O) at the point and 0 on the rest
+    of O, so it relates the point to the simplex alone.
+    """
+    labels, others, _ = _split(config, simplex)
+    gale = config._gale
+    if gale is None:
         raise DegenerateConfiguration("degenerate simplex in triangulation")
-    return dict(zip(labels, sol))
+    try:
+        det, adj = int_det_adjugate([gale.rows[o] for o in others])
+    except ValueError:  # det(K_O) = 0: the simplex is degenerate
+        raise DegenerateConfiguration("degenerate simplex in triangulation") from None
+    return {
+        w: {l: Q(-sum(map(mul, gale.rows[l], x)), det) for l in labels}
+        for w, x in zip(others, zip(*adj))
+    }
 
 
 def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHeights]:
@@ -313,10 +381,7 @@ def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHei
     rows = []
     rhs = []
     for s in tri:
-        for w in config.labels:
-            if w in s:
-                continue
-            lam = _barycentric(config, sorted(s), w)
+        for w, lam in _barycentric(config, s).items():
             row = [0] * nlab
             row[w] = 1
             for l, c in lam.items():
@@ -335,6 +400,15 @@ def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHei
 # circuits and flips
 
 
+def _circuit(labels: Sequence[int], coeffs: Sequence) -> Circuit:
+    """The circuit of a dependence with the given nonzero coefficients,
+    scaled to primitive integers with the first one positive."""
+    dep = tuple(zip(labels, primitive_normalize(coeffs)))
+    pos = frozenset(l for l, c in dep if c > 0)
+    neg = frozenset(l for l, c in dep if c < 0)
+    return Circuit(frozenset(labels), pos, neg, dep)
+
+
 def affine_dependence(
     config: PointConfiguration, labels: Optional[Iterable[int]] = None
 ) -> Circuit:
@@ -346,15 +420,9 @@ def affine_dependence(
         raise ValueError("points are affinely independent")
     if len(kernel) > 1:
         raise ValueError("more than one affine dependence")
-    coeffs = list(primitive_normalize(kernel[0]))
-    if any(c == 0 for c in coeffs):
+    if any(c == 0 for c in kernel[0]):
         raise ValueError("dependence does not involve every point")
-    if coeffs[0] < 0:
-        coeffs = [-c for c in coeffs]
-    dep = tuple(zip(sel, coeffs))
-    pos = frozenset(l for l, c in dep if c > 0)
-    neg = frozenset(l for l, c in dep if c < 0)
-    return Circuit(frozenset(sel), pos, neg, dep)
+    return _circuit(sel, kernel[0])
 
 
 def gkz_two_triangulations(z: Circuit):
@@ -365,16 +433,17 @@ def gkz_two_triangulations(z: Circuit):
 
 
 def _circuit_of(config: PointConfiguration, labels: Iterable[int]) -> Optional[Circuit]:
-    """The unique circuit inside a label set with a 1-dim dependence space."""
+    """The unique circuit inside a label set with a 1-dim dependence space:
+    the set's dependence restricted to its support."""
     sel = sorted(labels)
     pts = config._int_points
     kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
     if len(kernel) != 1:
         return None
-    support = [sel[i] for i, c in enumerate(kernel[0]) if c != 0]
+    support = [(l, c) for l, c in zip(sel, kernel[0]) if c != 0]
     if len(support) < 3:
         return None
-    return affine_dependence(config, support)
+    return _circuit(*zip(*support))
 
 
 def _flip_from_circuit(

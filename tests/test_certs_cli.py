@@ -427,6 +427,87 @@ def test_cli_cert_check_rejects_malformed_simplices(tmp_path, capsys, a3_triangu
     assert capsys.readouterr().out.startswith("malformed certificate: ")
 
 
+@pytest.fixture(scope="module")
+def triangulation_certs(tmp_path_factory):
+    """The A3 and D5 F triangulation certificates, by form."""
+    out = {}
+    for form, facet in (("A3", "0,1,2,3,4"), ("D5", D5_FACET)):
+        path = tmp_path_factory.mktemp("tri") / "tc.json"
+        assert cli.main(["triangulate", "--form", form, "--facet", facet,
+                         "--cert", str(path)]) == 0
+        out[form] = json.loads(path.read_text())
+    return out
+
+
+def _lower_a_height(payload):
+    payload["heights"]["0"] = "-1"
+
+
+def _drop_a_simplex(payload):
+    del payload["simplices"][0]
+
+
+def _circuit_in_a_simplex(payload):
+    # 14 labels of D5 F around the circuit of its flip: no simplex
+    payload["simplices"][0] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+
+
+def _height_for_99(payload):
+    payload["heights"]["99"] = "0"
+
+
+def _height_for_minus_1(payload):
+    payload["heights"]["-1"] = "0"
+
+
+def _height_under_an_alias(payload):
+    payload["heights"]["01"] = "-5"
+
+
+def _no_height_for_0(payload):
+    del payload["heights"]["0"]
+
+
+TRIANGULATION_MUTANTS = [
+    (_drop_a_simplex, "simplex volumes do not sum to the hull volume"),
+    (_height_for_99, "height key '99' names no point"),
+    (_height_for_minus_1, "height key '-1' names no point"),
+    (_height_under_an_alias, "height key '01' names no point"),
+    (_no_height_for_0, "no height for point 0"),
+]
+
+
+# A3's facet is one simplex, with no lifting inequality to violate; the
+# circuit mutant is D5's.
+@pytest.mark.parametrize("form, mutate, message", [
+    *(("A3", m, msg) for m, msg in TRIANGULATION_MUTANTS),
+    *(("D5", m, msg) for m, msg in TRIANGULATION_MUTANTS),
+    ("D5", _lower_a_height, "height witness violates a lifting inequality"),
+    ("D5", _circuit_in_a_simplex, "degenerate simplex"),
+])
+def test_cli_cert_check_rejects_a_mutated_triangulation(
+    tmp_path, capsys, triangulation_certs, form, mutate, message
+):
+    original = triangulation_certs[form]
+    assert certs.check_certificate(original) == (True, "triangulation certificate valid")
+    doc = copy.deepcopy(original)
+    mutate(doc["payload"])
+    assert certs.check_certificate(doc) == (False, message)
+    cert = tmp_path / "tc.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["cert", "check", str(cert)]) == 1
+    assert capsys.readouterr().out == message + "\n"
+
+
+def test_the_circuit_mutant_contains_the_flip_circuit(d5_flip_cert):
+    circuit = d5_flip_cert["payload"]["flips"][0]["circuit"]
+    assert circuit == [0, 1, 5, 6, 9, 10, 12, 13]
+    payload = {"simplices": [[]], "heights": {}}
+    _circuit_in_a_simplex(payload)
+    assert len(payload["simplices"][0]) == 14 and set(circuit) <= set(payload["simplices"][0])
+
+
 @pytest.fixture(scope="module", params=["A3", "D5"])
 def census_cert(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("census") / "census.json"

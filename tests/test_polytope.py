@@ -9,7 +9,7 @@ from vcdcycle import data
 from vcdcycle import polytope as pt
 from vcdcycle import voronoi as vr
 from vcdcycle.dd import cone_facets
-from vcdcycle.exactq import as_q, int_rank, mat_vec_int
+from vcdcycle.exactq import as_q, int_rank, mat_vec_int, nullspace
 from vcdcycle.sharbly import AntisymSum, _perm_sign
 
 
@@ -483,6 +483,41 @@ def test_supported_flips_compute_a_circuit_once_per_label_set(circuit_calls):
     circuit_calls.clear()
     oracle_supported_flips(config, t1)
     assert len(circuit_calls) == 80
+
+
+def oracle_circuit_of(config, labels):
+    """`_circuit_of` as it was: a second nullspace, by `affine_dependence`,
+    on the support of the set's dependence."""
+    sel = sorted(labels)
+    pts = config._int_points
+    kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
+    if len(kernel) != 1:
+        return None
+    support = [sel[i] for i, c in enumerate(kernel[0]) if c != 0]
+    if len(support) < 3:
+        return None
+    return pt.affine_dependence(config, support)
+
+
+def test_circuit_of_matches_the_two_nullspace_version(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return nullspace(m)
+
+    monkeypatch.setattr(pt, "nullspace", counting)
+    label_sets = 0
+    for name, config, tri in _flip_cases():
+        sets = {s | {w} for s in tri for w in config.labels if w not in s}
+        sets |= {s | t for s in tri for t in tri if len(s & t) == len(s) - 1}
+        for labels in sets:
+            calls.clear()
+            z = pt._circuit_of(config, labels)
+            assert len(calls) == 1, name
+            assert z == oracle_circuit_of(config, labels), (name, sorted(labels))
+            label_sets += z is not None
+    assert label_sets > 100
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from vcdcycle import lp
 from vcdcycle import polytope as pt
 from vcdcycle.dd import cone_facets
+from vcdcycle.exactq import int_rank
 
 
 def _proper_pair_lp(config, s1, s2) -> bool:
@@ -116,7 +117,8 @@ def test_agrees_with_pairwise_lp_oracle(seed, m):
     while configs < 6:
         pts = {tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(m + 2, m + 4))}
         config = pt.PointConfiguration.from_points(sorted(pts))
-        if pt.config_affine_dim(config) != m:
+        base = config._int_points[0]
+        if int_rank([[x - y for x, y in zip(p, base)] for p in config._int_points]) != m:
             continue
         configs += 1
         hull = lifted_hull_volume(config)
