@@ -75,17 +75,13 @@ def default_triangulation(tile: Tile) -> list[frozenset]:
     return [frozenset(orig[i] for i in s) for s in tri]
 
 
-def build_zG(
-    n: int,
-    odict: Optional[OrbitDictionary] = None,
-    triangulations: Optional[dict[str, Iterable]] = None,
-) -> CycleChain:
+def build_zG(n: int) -> CycleChain:
     """The stabilizer-weighted cycle for rank n in {2, 3, 4}."""
     if n not in SUPPORTED_RANKS:
         raise ValueError(f"rank {n} is not supported for cycle assembly")
     from .voronoi import stabilizer
 
-    odict = odict if odict is not None else OrbitDictionary()
+    odict = OrbitDictionary()
     raw = SharblyChain()
     provenance: list[TermProvenance] = []
     orders: dict[str, int] = {}
@@ -93,12 +89,7 @@ def build_zG(
         order = stabilizer(tile).order
         orders[tile.form.name] = order
         weight = Fraction(1, order)
-        tri = (
-            [frozenset(s) for s in triangulations[tile.form.name]]
-            if triangulations and tile.form.name in triangulations
-            else default_triangulation(tile)
-        )
-        for simplex in sorted(tri, key=sorted):
+        for simplex in sorted(default_triangulation(tile), key=sorted):
             rays = [tile.ray_vectors[i] for i in sorted(simplex)]
             sign, basic = sharbly_of_cone(rays, tile.orientation)
             raw.add(basic, weight * sign)

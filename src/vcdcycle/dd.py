@@ -2,9 +2,9 @@
 
 Computes the extreme rays of a polyhedral cone given by homogeneous
 inequalities a.y >= 0.  The input constraint matrix must have full column
-rank (the cone is then pointed), which holds for every use in this package:
-facet enumeration of full-dimensional pointed cones and of polytope
-homogenizations.  Adjacency of rays is decided by the combinatorial test on
+rank (the cone is then pointed).  The tile census is its only use in this
+package: the facets of a tile, the full-dimensional pointed cone of a
+perfect form (`voronoi.tile_facets`).  Adjacency of rays is decided by the combinatorial test on
 tight sets, with a popcount prefilter.
 """
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -296,14 +296,6 @@ def primitive_normalize(v: Sequence) -> IntVector:
 # ---------------------------------------------------------------------------
 # symmetric-matrix vectorization (coordinates on the space of quadratic
 # forms: upper triangle, row-major)
-
-
-def _rank_from_veclen(d: int) -> int:
-    """The n with n (n + 1) / 2 = d upper-triangle coordinates."""
-    n = (isqrt(8 * d + 1) - 1) // 2
-    if n * (n + 1) // 2 != d:
-        raise ValueError("not a symmetric-matrix coordinate vector")
-    return n
 
 
 def rank1_vec(v: Sequence[int]) -> IntVector:

@@ -1,19 +1,23 @@
 """Exact combinatorics of rational point configurations.
 
-Convex hull facets, placing triangulations, regularity witnesses,
-circuits with their sign partitions, bistellar flips, and the
-antisymmetrized gluing identities that relate a flip to the difference of
-the two triangulations it connects.  All geometry is exact: validity is
-decided by integer orientation signs, and regularity comes with rational
-witnesses.  A configuration's points are distinct, so its labels name
-them one to one; circuits, flips and their identities are stated on labels
-(De Loera, Rambau, Santos, *Triangulations*, Ch. 4).
+Placing triangulations, convex hull facets, regularity witnesses, circuits
+with their sign partitions, bistellar flips, and the antisymmetrized gluing
+identities that relate a flip to the difference of the two triangulations
+it connects.  All geometry is exact: validity is decided by integer
+orientation signs, and regularity comes with rational witnesses.  A
+configuration's points are distinct, so its labels name them one to one;
+circuits, flips and their identities are stated on labels (De Loera,
+Rambau, Santos, *Triangulations*, Ch. 4).
 
-Every determinant and barycentric coordinate of a full simplex is read off
-one integer Gale dual per configuration instance (ibid., Ch. 4-5): a basis
-of the affine dependences of all the points, one row per label.  Its size
-is the corank N - m - 1, which is 2 on the rank-5 facet F, however large
-the ambient dimension m.
+Two objects are built once per configuration instance, and the rest is
+read off them.  The integer Gale dual K (ibid., Ch. 4-5) is a basis of the
+affine dependences of all the points, one row per label, of size the
+corank N - m - 1 (2 on the rank-5 facet F, however large the ambient
+dimension m).  It gives every simplex determinant, barycentric coordinate
+and circuit: the dependences on a label set S are K y for y in the kernel
+of the rows outside S.  The placing triangulation gives the hull volume
+and the hull facets, each a boundary ridge of it plus the points on the
+ridge's hyperplane.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
-from .dd import cone_facets
 from .exactq import (
     Q, independent_rows, int_det, int_det_adjugate, int_rows, nullspace,
     primitive_normalize, solve, vec_q,
@@ -71,11 +74,10 @@ class PointConfiguration:
     def __len__(self) -> int:
         return len(self.points)
 
-    # The Gale dual and the hull data below are cached on the instance, never
-    # in a module-level cache keyed on the points: a certificate checker must
-    # recompute them from the certificate's own points, even in the process
-    # that wrote it.  Every simplex determinant and barycentric coordinate
-    # comes from the Gale dual.
+    # The Gale dual, the placing triangulation and the hull data read off
+    # it are cached on the instance, never in a module-level cache keyed on
+    # the points: a certificate checker must recompute them from the
+    # certificate's own points, even in the process that wrote it.
 
     @cached_property
     def _int_points(self) -> tuple[tuple[int, ...], ...]:
@@ -90,13 +92,25 @@ class PointConfiguration:
         return _gale_dual(self)
 
     @cached_property
+    def _placing(self) -> frozenset:
+        """The placing triangulation in label order."""
+        return placing_triangulation(self)
+
+    @cached_property
     def _hull_volume(self) -> int:
-        tri = placing_triangulation(self)
-        return sum(abs(_simplex_det(self, s)) for s in tri)
+        return sum(abs(_simplex_det(self, s)) for s in self._placing)
 
     @cached_property
     def _hull_facet_labels(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(tight) for tight, _ in convex_hull_facets(self))
+        """The label sets of the hull facets: a boundary ridge of the placing
+        triangulation spans its facet's hyperplane, and the facet's points
+        are the points on it."""
+        facets: list[frozenset] = []
+        for ridge in _boundary_faces(self._placing):
+            if not any(ridge <= f for f in facets):
+                on = {p for p in self.labels if p not in ridge and _side(self, ridge, p) == 0}
+                facets.append(ridge | on)
+        return tuple(facets)
 
 
 @dataclass(frozen=True)
@@ -217,16 +231,6 @@ def _side(config: PointConfiguration, ridge: Iterable[int], apex: int) -> int:
 
 # ---------------------------------------------------------------------------
 # hulls
-
-
-def convex_hull_facets(config: PointConfiguration):
-    """All facets as (vertex label set, inward integer functional).
-
-    The functional (c, a_1, ..., a_m) satisfies c + a.x >= 0 on the
-    configuration, with equality exactly on the facet's points.
-    """
-    _require_full_dim(config)
-    return cone_facets(_homog(config))
 
 
 def _boundary_faces(triangulation: Triangulation) -> dict:
@@ -409,20 +413,33 @@ def _circuit(labels: Sequence[int], coeffs: Sequence) -> Circuit:
     return Circuit(frozenset(labels), pos, neg, dep)
 
 
-def affine_dependence(
-    config: PointConfiguration, labels: Optional[Iterable[int]] = None
-) -> Circuit:
-    """The circuit carried by points with exactly one affine dependence."""
-    sel = sorted(labels) if labels is not None else list(config.labels)
-    pts = config._int_points
-    kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
-    if len(kernel) == 0:
+def _dependences(config: PointConfiguration, labels: Iterable[int]) -> list[tuple[int, ...]]:
+    """A basis of the affine dependences supported on a label set, as
+    integer coefficient vectors over all the labels.
+
+    They are K y for the Gale dual's rows K and y in the kernel of the rows
+    of the set's complement; every y is scaled to integers first.
+    """
+    _require_full_dim(config)
+    rows = config._gale.rows
+    inside = set(labels)
+    outside = [rows[t] for t in config.labels if t not in inside]
+    if not outside:  # every dependence: the columns of K
+        return list(zip(*rows))
+    return [tuple(sum(map(mul, r, y)) for r in rows) for y in int_rows(nullspace(outside))]
+
+
+def affine_dependence(config: PointConfiguration) -> Circuit:
+    """The circuit of a full-dimensional configuration with exactly one
+    affine dependence, which involves every point."""
+    deps = _dependences(config, config.labels)
+    if len(deps) == 0:
         raise ValueError("points are affinely independent")
-    if len(kernel) > 1:
+    if len(deps) > 1:
         raise ValueError("more than one affine dependence")
-    if any(c == 0 for c in kernel[0]):
+    if any(c == 0 for c in deps[0]):
         raise ValueError("dependence does not involve every point")
-    return _circuit(sel, kernel[0])
+    return _circuit(config.labels, deps[0])
 
 
 def gkz_two_triangulations(z: Circuit):
@@ -435,21 +452,22 @@ def gkz_two_triangulations(z: Circuit):
 def _circuit_of(config: PointConfiguration, labels: Iterable[int]) -> Optional[Circuit]:
     """The unique circuit inside a label set with a 1-dim dependence space:
     the set's dependence restricted to its support."""
-    sel = sorted(labels)
-    pts = config._int_points
-    kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
-    if len(kernel) != 1:
+    deps = _dependences(config, labels)
+    if len(deps) != 1:
         return None
-    support = [(l, c) for l, c in zip(sel, kernel[0]) if c != 0]
+    support = [(l, c) for l, c in enumerate(deps[0]) if c != 0]
     if len(support) < 3:
         return None
     return _circuit(*zip(*support))
 
 
-def _flip_from_circuit(
-    config: PointConfiguration, tri: Triangulation, z: Circuit
-) -> Optional[Flip]:
-    """The flip supported on circuit z in tri, if the star decomposes."""
+def _flip_from_circuit(tri: Triangulation, z: Circuit) -> Optional[Flip]:
+    """The flip supported on circuit z in tri, if the star decomposes.
+
+    Each inserted simplex (Z - w') | L is full-dimensional: every Z - w'
+    spans the affine hull of the circuit, so it spans what the removed
+    (Z - w) | L spans.
+    """
     for part in (z.positive_part, z.negative_part):
         star: dict[int, set] = {w: set() for w in part}
         covered = set()
@@ -474,17 +492,18 @@ def _flip_from_circuit(
         inserted = frozenset(
             frozenset((z.labels - {w}) | f) for w in other for f in link
         )
-        if any(_simplex_det(config, s) == 0 for s in inserted):
-            continue
         return Flip(z, removed, inserted, link)
     return None
 
 
 def supported_flips(config: PointConfiguration, triangulation) -> list[Flip]:
-    """All flips applicable to the triangulation (result validity checked).
+    """All flips applicable to the valid triangulation.
 
-    The candidates are the circuits of the interior walls' label sets, then
-    of each simplex plus one point, one circuit per label set.  Flips that
+    A flip on a circuit whose cells share one link is a triangulation by
+    construction (De Loera, Rambau, Santos, *Triangulations*, Ch. 4), so
+    no result is re-checked.  The candidates are the circuits of the
+    interior walls' label sets, then of each simplex plus one point, one
+    circuit per label set.  Flips that
     tie in the sort keep this order, which `_regular_flip_search` explores:
     both flips from the D5 facet's T1 remove all 16 simplices.
     """
@@ -512,16 +531,14 @@ def supported_flips(config: PointConfiguration, triangulation) -> list[Flip]:
     flips = []
     seen = set()
     for z in candidates.values():
-        f = _flip_from_circuit(config, tri, z)
+        f = _flip_from_circuit(tri, z)
         if f is None:
             continue
         key = (f.removed, f.inserted)
         if key in seen:
             continue
         seen.add(key)
-        new_tri = (tri - f.removed) | f.inserted
-        if is_valid_triangulation(config, new_tri):
-            flips.append(f)
+        flips.append(f)
     flips.sort(key=lambda f: sorted(map(sorted, f.removed)))
     return flips
 
@@ -575,7 +592,7 @@ def enumerate_regular_triangulations(
     config: PointConfiguration, budget: int = 10000
 ) -> list[Triangulation]:
     """All regular triangulations: flip closure from a placing start."""
-    start = placing_triangulation(config)
+    start = config._placing
     found = {_canon_tri(start): start}
     for key, tri, _, _ in _regular_flip_search(
         config, start, budget, "triangulation enumeration"

@@ -61,7 +61,10 @@ def triangulation_to_json(tri) -> list:
 def triangulation_from_json(items) -> frozenset:
     if not isinstance(items, list):
         raise ValueError(f"a triangulation must be a list of label lists, got {items!r}")
-    return frozenset(frozenset(_labels(s, "a simplex")) for s in items)
+    tri = frozenset(frozenset(_labels(s, "a simplex")) for s in items)
+    if len(tri) != len(items):
+        raise ValueError("a triangulation lists a simplex twice")
+    return tri
 
 
 def circuit_to_json(circuit) -> dict:

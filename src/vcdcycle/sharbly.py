@@ -328,7 +328,7 @@ def vector_set_maps(
     spanning Q^n, those of vs_b as `primitive_normalize` leaves them.  The
     sign s is the parity of the bijection i -> j with g a_i = ±b_j between
     the sorted lists a and b; for canonical inputs it is the s of
-    g.[a] = s.[b] (see `equivalences`).
+    g.[a] = s.[b] (see `equivalent`).
     """
     search = _search(vs_a, vs_b, n)
     if search is None:
@@ -459,27 +459,17 @@ def act(g: GroupElement, basic: BasicSharbly):
     return canonicalize([mat_vec_int(g, v) for v in basic.vectors], basic.n)
 
 
-def equivalences(
-    a: BasicSharbly, b: BasicSharbly, want_sign: Optional[int] = None
-) -> Iterator[tuple[GroupElement, int]]:
-    """All (g, s) with g.a = s.b in the sharbly module, in search order.
+def equivalent(a: BasicSharbly, b: BasicSharbly) -> Optional[tuple[GroupElement, int]]:
+    """The first (g, s) of the search with g in SL_n(Z) and g.a = s.b in the
+    sharbly module, or None.
 
     a and b must be canonical (vectors sorted, as `canonicalize` and the
     orbit dictionary give them): s is then the parity of the bijection
     from a's vectors to b's that `vector_set_maps` reports.
     """
-    if a.n != b.n or len(a.vectors) != len(b.vectors):
-        return
-    for g, sign in vector_set_maps(a.vectors, b.vectors, a.n):
-        if want_sign is None or sign == want_sign:
-            yield g, sign
-
-
-def equivalent(a: BasicSharbly, b: BasicSharbly) -> Optional[tuple[GroupElement, int]]:
-    """Some g in SL_n(Z) and sign s with g.a = s.b, if one exists."""
-    for hit in equivalences(a, b):
-        return hit
-    return None
+    if a.n != b.n:
+        return None
+    return next(vector_set_maps(a.vectors, b.vectors, a.n), None)
 
 
 def self_negation_witness(a: BasicSharbly) -> Optional[GroupElement]:
@@ -490,7 +480,7 @@ def self_negation_witness(a: BasicSharbly) -> Optional[GroupElement]:
     """
     if all(s == 1 for _, s in automorphism_group(a.vectors, a.n).generators):
         return None
-    return next(g for g, _ in equivalences(a, a, want_sign=-1))
+    return next(g for g, s in vector_set_maps(a.vectors, a.vectors, a.n) if s == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +531,6 @@ class OrbitDictionary:
         return cls, 1, ident
 
 
-def orbit_canonical(a: BasicSharbly, odict: OrbitDictionary) -> tuple[OrbitClass, int]:
-    cls, sign, _ = odict.canonical_with_witness(a)
-    return cls, sign
-
-
 def project_coinvariants(
     chain: SharblyChain, odict: OrbitDictionary
 ) -> dict[OrbitClass, Q]:
@@ -556,7 +541,7 @@ def project_coinvariants(
     sums: dict[int, Q] = {}
     classes: dict[int, OrbitClass] = {}
     for basic, coeff in chain.terms.items():
-        cls, sign = orbit_canonical(basic, odict)
+        cls, sign, _ = odict.canonical_with_witness(basic)
         classes[cls.class_id] = cls
         sums[cls.class_id] = sums.get(cls.class_id, Q(0)) + sign * coeff
     out: dict[OrbitClass, Q] = {}

@@ -18,7 +18,6 @@ from . import data
 from .dd import cone_facets
 from .exactq import (
     Q,
-    _rank_from_veclen,
     as_q,
     int_rank,
     pairing_row,
@@ -62,15 +61,13 @@ class Tile:
         return range(len(self.ray_vectors))
 
 
-def normalize_to_section(v_prime: Sequence, n: Optional[int] = None) -> tuple[Q, ...]:
-    """Scale a nonzero positive semidefinite ray to trace 1.
+def normalize_to_section(v_prime: Sequence, n: int) -> tuple[Q, ...]:
+    """Scale a nonzero positive semidefinite ray of n x n forms to trace 1.
 
     Takes upper-triangle coordinates; the trace section meets every ray of
     the cone of nonzero positive semidefinite forms, unlike any single
     coordinate hyperplane.
     """
-    if n is None:
-        n = _rank_from_veclen(len(v_prime))
     t = vec_trace(v_prime, n)
     if t <= 0:
         raise ValueError("ray has nonpositive trace")

@@ -342,6 +342,25 @@ BAD_FLIP_PAIRS = [
 ]
 
 
+REPEATED_SIMPLEX_PAIRS = [
+    ("A3", "0,1,2,3,4", {"first": A3_SIMPLEX * 2, "second": A3_SIMPLEX}),
+    ("A3", "0,1,2,3,4", {"first": A3_SIMPLEX, "second": [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]}),
+    ("D5", D5_FACET, {"first": D5_T1 + D5_T1[:1], "second": D5_T2}),
+]
+
+
+@pytest.mark.parametrize("action, written", [("path", "--out"), ("verify", "--cert")])
+@pytest.mark.parametrize("form, facet, doc", REPEATED_SIMPLEX_PAIRS)
+def test_cli_flip_rejects_a_repeated_simplex(tmp_path, capsys, action, written, form, facet, doc):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = ["flip", action, "--form", form, "--facet", facet, "--in", str(pair), written, str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: a triangulation lists a simplex twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("action, written", [("path", "--out"), ("verify", "--cert")])
 @pytest.mark.parametrize("form, facet, doc", BAD_FLIP_PAIRS)
 def test_cli_flip_rejects_invalid_endpoints(tmp_path, capsys, action, written, form, facet, doc):
@@ -468,12 +487,22 @@ def _no_height_for_0(payload):
     del payload["heights"]["0"]
 
 
+def _repeat_a_simplex(payload):
+    payload["simplices"].append(payload["simplices"][0])
+
+
+def _repeat_a_simplex_reordered(payload):
+    payload["simplices"].append(payload["simplices"][0][::-1])
+
+
 TRIANGULATION_MUTANTS = [
     (_drop_a_simplex, "simplex volumes do not sum to the hull volume"),
     (_height_for_99, "height key '99' names no point"),
     (_height_for_minus_1, "height key '-1' names no point"),
     (_height_under_an_alias, "height key '01' names no point"),
     (_no_height_for_0, "no height for point 0"),
+    (_repeat_a_simplex, "malformed certificate: a triangulation lists a simplex twice"),
+    (_repeat_a_simplex_reordered, "malformed certificate: a triangulation lists a simplex twice"),
 ]
 
 

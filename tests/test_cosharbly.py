@@ -21,11 +21,10 @@ def section_points(basic):
     return tuple(normalize_to_section(rank1_vec(v), basic.n) for v in basic.vectors)
 
 
-def fraction_epsilon(points, n=None):
-    """Orientation sign of d ordered trace-1 section points; 0 when degenerate."""
+def fraction_epsilon(points, n):
+    """Orientation sign of d ordered trace-1 section points of n x n forms;
+    0 when degenerate."""
     d = len(points[0])
-    if n is None:
-        n = eq._rank_from_veclen(d)
     if len(points) != d:
         raise ValueError("need exactly as many points as coordinates")
     for p in points:
@@ -180,9 +179,7 @@ def test_positivity_rejects_flipon_only_chain():
     _, flipon = canonicalize(
         [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 1)]
     )
-    from vcdcycle.sharbly import orbit_canonical
-
-    cls, _ = orbit_canonical(flipon, odict)
+    cls, _, _ = odict.canonical_with_witness(flipon)
     z.coin = {cls: F(1)}
     cert = co.mu_sign_certificate(z)
     assert not cert.valid

@@ -3,8 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from vcdcycle import cycle as cy
-from vcdcycle import polytope as pt
-from vcdcycle import voronoi as vr
 from vcdcycle.exactq import int_det
 from vcdcycle.sharbly import canonicalize
 
@@ -47,14 +45,3 @@ def test_an_remark_contrast():
     assert cy.verify_an_remark(2)["is_boundary_zero"]
     assert cy.verify_an_remark(3)["is_boundary_zero"]
 
-
-def test_z4_with_alternative_triangulation():
-    # replacing the built-in 16-cone subdivision by a placing triangulation
-    # of the same tile still certifies
-    tile = vr.builtin_tile("D4")
-    config, orig = vr.section_configuration(tile)
-    tri = pt.placing_triangulation(config)
-    alt = [frozenset(orig[i] for i in s) for s in tri]
-    z = cy.build_zG(4, triangulations={"D4": alt})
-    cert = cy.verify_boundary_zero(z)
-    assert cert.valid and not cert.residual

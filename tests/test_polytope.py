@@ -42,6 +42,13 @@ def lift_triangulation(config, heights):
     return result
 
 
+def dd_hull_facets(config):
+    """The hull facets' label sets by double description on the homogenized
+    points: the oracle for `_hull_facet_labels`."""
+    pt._require_full_dim(config)
+    return {tight for tight, _ in cone_facets(pt._homog(config))}
+
+
 def square():
     return pt.PointConfiguration.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -61,22 +68,49 @@ DIAG_13 = frozenset({frozenset({0, 1, 3}), frozenset({1, 2, 3})})
 
 
 def test_hull_facets_triangle_and_square():
-    assert len(pt.convex_hull_facets(triangle())) == 3
-    facets = pt.convex_hull_facets(square())
+    assert set(triangle()._hull_facet_labels) == {
+        frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})
+    }
+    facets = square()._hull_facet_labels
     assert len(facets) == 4
-    assert all(len(f) == 2 for f, _ in facets)
-    # inward functionals are nonnegative on every point
-    cfg = square()
-    for tight, (c, *a) in facets:
-        for i, p in enumerate(cfg.points):
-            v = c + sum(x * y for x, y in zip(a, p))
-            assert v >= 0 and (v == 0) == (i in tight)
+    assert set(facets) == {frozenset({i, (i + 1) % 4}) for i in range(4)}
+    # a facet's label set takes every point on it: here the midpoint 4 of
+    # edge 01 (5 is the centre)
+    cfg = pt.PointConfiguration.from_points([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)])
+    assert set(cfg._hull_facet_labels) == {
+        frozenset({0, 1, 4}), frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 3})
+    }
 
 
 def test_hull_facets_rejects_degenerate():
     cfg = pt.PointConfiguration.from_points([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(pt.DegenerateConfiguration):
-        pt.convex_hull_facets(cfg)
+        cfg._hull_facet_labels
+
+
+def _random_configs(seed, count, dims=(1, 2, 3, 4)):
+    """Full-dimensional configurations of small integer points, often not in
+    general position."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.choice(dims)
+        npts = rng.randint(dim + 1, dim + 5)
+        pts = {tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(npts)}
+        config = pt.PointConfiguration.from_points(sorted(pts))
+        if config._gale is not None:
+            out.append(config)
+    return out
+
+
+def test_hull_facets_match_double_description():
+    d5 = cy.facet_geometry(vr.builtin_tile("D5"), data.D5_FACET_F).config
+    d4, _ = vr.section_configuration(vr.builtin_tile("D4"))
+    for config in [d5, d4] + _random_configs(7, 120):
+        facets = config._hull_facet_labels
+        assert len(set(facets)) == len(facets)
+        assert set(facets) == dd_hull_facets(config), config.points
+    assert len(d5._hull_facet_labels) == 68 and len(d4._hull_facet_labels) == 64
 
 
 def test_affine_dependence_segment():
@@ -412,7 +446,7 @@ def oracle_supported_flips(config, triangulation):
     flips = []
     seen = set()
     for z in candidates.values():
-        f = pt._flip_from_circuit(config, tri, z)
+        f = pt._flip_from_circuit(tri, z)
         if f is None or (f.removed, f.inserted) in seen:
             continue
         seen.add((f.removed, f.inserted))
@@ -485,21 +519,30 @@ def test_supported_flips_compute_a_circuit_once_per_label_set(circuit_calls):
     assert len(circuit_calls) == 80
 
 
-def oracle_circuit_of(config, labels):
-    """`_circuit_of` as it was: a second nullspace, by `affine_dependence`,
-    on the support of the set's dependence."""
+def primal_dependences(config, labels):
+    """The affine dependences of the points of a label set, by a nullspace
+    of their homogenized coordinates: (sorted labels, kernel basis)."""
     sel = sorted(labels)
     pts = config._int_points
-    kernel = nullspace(list(zip(*((1,) + pts[i] for i in sel))))
+    return sel, nullspace(list(zip(*((1,) + pts[i] for i in sel))))
+
+
+def oracle_circuit_of(config, labels):
+    """`_circuit_of` as it was: the primal nullspace of the set, then the
+    primal nullspace of the support of its dependence."""
+    sel, kernel = primal_dependences(config, labels)
     if len(kernel) != 1:
         return None
     support = [sel[i] for i, c in enumerate(kernel[0]) if c != 0]
     if len(support) < 3:
         return None
-    return pt.affine_dependence(config, support)
+    sel, (dep,) = primal_dependences(config, support)
+    return pt._circuit(sel, dep)
 
 
-def test_circuit_of_matches_the_two_nullspace_version(monkeypatch):
+def test_circuit_of_matches_the_primal_nullspace_version(monkeypatch):
+    """Same circuits, and the only elimination is the kernel of the Gale
+    rows outside the set (none for the whole configuration)."""
     calls = []
 
     def counting(m):
@@ -509,15 +552,67 @@ def test_circuit_of_matches_the_two_nullspace_version(monkeypatch):
     monkeypatch.setattr(pt, "nullspace", counting)
     label_sets = 0
     for name, config, tri in _flip_cases():
+        pt._require_full_dim(config)  # builds the Gale dual before the counted calls
         sets = {s | {w} for s in tri for w in config.labels if w not in s}
         sets |= {s | t for s in tri for t in tri if len(s & t) == len(s) - 1}
+        sets.add(frozenset(config.labels))
         for labels in sets:
             calls.clear()
             z = pt._circuit_of(config, labels)
-            assert len(calls) == 1, name
+            outside = [config._gale.rows[t] for t in config.labels if t not in labels]
+            assert calls == ([outside] if outside else []), name
             assert z == oracle_circuit_of(config, labels), (name, sorted(labels))
             label_sets += z is not None
     assert label_sets > 100
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_circuit_of_matches_the_primal_version_on_random_sets(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for config in _random_configs(seed, 40):
+        n = len(config)
+        for _ in range(40):
+            labels = rng.sample(range(n), rng.randint(1, n))
+            z = pt._circuit_of(config, labels)
+            assert z == oracle_circuit_of(config, labels), (config.points, labels)
+            checked += z is not None
+    assert checked > 150
+
+
+def test_affine_dependence_matches_the_primal_version():
+    for config in _random_configs(3, 60):
+        sel, kernel = primal_dependences(config, config.labels)
+        if len(kernel) == 1 and all(kernel[0]):
+            assert pt.affine_dependence(config) == pt._circuit(sel, kernel[0])
+        else:
+            with pytest.raises(ValueError):
+                pt.affine_dependence(config)
+
+
+# ---------------------------------------------------------------------------
+# flips are valid by construction
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_supported_flips_are_valid_by_construction(seed):
+    """Every flip `supported_flips` returns, from placing triangulations and
+    from their flips, gives a valid triangulation with full-dimensional
+    inserted simplices."""
+    rng = random.Random(seed)
+    flips = 0
+    for config in _random_configs(seed + 100, 120):
+        order = rng.sample(range(len(config)), len(config))
+        starts = [pt.placing_triangulation(config, order=order)]
+        for tri in list(starts):
+            starts.extend((tri - f.removed) | f.inserted for f in pt.supported_flips(config, tri))
+        for tri in starts:
+            assert pt.is_valid_triangulation(config, tri)
+            for f in pt.supported_flips(config, tri):
+                assert all(pt._simplex_det(config, s) != 0 for s in f.inserted)
+                assert pt.is_valid_triangulation(config, (tri - f.removed) | f.inserted)
+                flips += 1
+    assert flips > 400
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,11 @@ def test_orbit_dictionary_is_constant_on_orbits():
     rng = random.Random(4)
     odict = sh.OrbitDictionary()
     _, a = sh.canonicalize([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    cls_a, _ = sh.orbit_canonical(a, odict)
+    cls_a, _, _ = odict.canonical_with_witness(a)
     for _ in range(5):
         g = _random_sl(rng, 3)
         s, b = sh.act(g, a)
-        cls_b, sign_b = sh.orbit_canonical(b, odict)
+        cls_b, sign_b, _ = odict.canonical_with_witness(b)
         assert cls_b.class_id == cls_a.class_id
 
 

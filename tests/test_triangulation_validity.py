@@ -12,6 +12,8 @@ from vcdcycle import polytope as pt
 from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import int_rank
 
+from test_polytope import dd_hull_facets
+
 
 def _proper_pair_lp(config, s1, s2) -> bool:
     """True when conv(s1) and conv(s2) meet in conv(s1 & s2).
@@ -74,7 +76,7 @@ def _raw_flip_neighbours(config, tri):
             z = pt._circuit_of(config, labels)
             if z is None or z.labels != frozenset(labels):
                 continue
-            f = pt._flip_from_circuit(config, tri, z)
+            f = pt._flip_from_circuit(tri, z)
             if f is not None:
                 out.append((tri - f.removed) | f.inserted)
     return out
@@ -140,7 +142,7 @@ def _violations(config, tri) -> set:
     for s in tri:
         for v in s:
             apexes.setdefault(s - {v}, []).append(v)
-    facets = [frozenset(t) for t, _ in pt.convex_hull_facets(config)]
+    facets = dd_hull_facets(config)
     out = set()
     for ridge, vs in apexes.items():
         if len(vs) > 2:
@@ -205,7 +207,7 @@ def test_each_ridge_condition_rejects(points, tri, defect):
 
 def test_t_junction_point_lies_on_the_cut():
     config = pt.PointConfiguration.from_points(T_JUNCTION[0])
-    z = pt.affine_dependence(config, [1, 3, 4])  # 4 is the midpoint of 13
+    z = pt._circuit_of(config, [1, 3, 4])  # 4 is the midpoint of 13
     assert z.positive_part == frozenset({1, 3}) and z.negative_part == frozenset({4})
 
 

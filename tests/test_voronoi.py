@@ -18,10 +18,10 @@ from vcdcycle.exactq import (
 
 
 def test_normalize_to_section():
-    assert vr.normalize_to_section((1, 0, 0)) == (1, 0, 0)
-    assert vr.normalize_to_section((1, -1, 1)) == (F(1, 2), F(-1, 2), F(1, 2))
+    assert vr.normalize_to_section((1, 0, 0), 2) == (1, 0, 0)
+    assert vr.normalize_to_section((1, -1, 1), 2) == (F(1, 2), F(-1, 2), F(1, 2))
     # e2 has vanishing leading coordinate but a fine trace section point
-    assert vr.normalize_to_section(rank1_vec((0, 1))) == (0, 0, 1)
+    assert vr.normalize_to_section(rank1_vec((0, 1)), 2) == (0, 0, 1)
 
 
 def test_normalize_to_section_scale_invariant():
