@@ -1,16 +1,15 @@
-"""Self-contained certificate files and their trusted checker.
+"""The trusted checker of certificate files.
 
 A certificate records the result of a budgeted search together with every
-witness needed to re-validate the claim by plain arithmetic.  `check`
-never repeats a search: it re-verifies witness matrices, cancellation
-sums, lifting inequalities, orientation signs and tightness conditions
-against the data embedded in the file.
+witness needed to re-validate the claim by plain arithmetic.  The builders
+that write each kind are in `serialize`; `check_certificate` never repeats
+a search: it re-verifies witness matrices, cancellation sums, lifting
+inequalities, orientation signs and tightness conditions against the data
+embedded in the file.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from operator import mul
 from typing import Callable
 
@@ -18,24 +17,6 @@ from .exactq import Q, int_det, int_rank, pairing_row, q_parse
 from .sharbly import BasicSharbly, SharblyChain, ZERO, act, boundary
 
 SCHEMA_VERSION = 1
-
-KINDS = ("boundary", "positivity", "triangulation", "flip-identity", "census")
-
-
-def input_hash(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def make_certificate(kind: str, payload: dict, input_obj) -> dict:
-    if kind not in KINDS:
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "input_hash": input_hash(input_obj),
-        "payload": payload,
-    }
 
 
 def check_certificate(cert: dict) -> tuple[bool, str]:

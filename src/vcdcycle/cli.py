@@ -1,8 +1,12 @@
 """Command-line surface: dataset access, verification runs, certificates.
 
+Each command parses its arguments, calls the library, prints and writes;
+every certificate is built by a `serialize` builder and checked by
+`certs.check_certificate` before the command reports it.
+
 Exit status: 0 when the requested computation or certificate is valid,
-1 when a verification fails, 2 on bad input, 3 when a search budget is
-exceeded.
+1 when a verification fails, 2 on bad input (an unreadable or unwritable
+path included), 3 when a search budget is exceeded.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ def _check_writable(args) -> None:
                 raise FileNotFoundError(f"cannot write to {path}")
 
 
+def _certify(path, cert) -> tuple[bool, str]:
+    """Write the certificate to `path`, if one is given, and check it."""
+    if path:
+        _write_json(path, cert)
+    return certs.check_certificate(cert)
+
+
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -76,28 +87,12 @@ def cmd_forms_list(args) -> int:
 
 
 def cmd_tile_facets(args) -> int:
-    tile = _tile(args)
-    facets = vr.tile_facets(tile)
-    sizes: dict[str, int] = {}
-    for f, _ in facets:
-        k = str(len(f))
-        sizes[k] = sizes.get(k, 0) + 1
-    print(f"{args.form}: {len(facets)} facets, by ray count {sizes}")
-    payload = {
-        "rays": [list(v) for v in tile.ray_vectors],
-        "facets": [
-            {"labels": sorted(f), "functional": list(fn)} for f, fn in facets
-        ],
-        "counts": {"total": len(facets), "by_rays": sizes},
-    }
-    cert = certs.make_certificate(
-        "census", payload, {"form": args.form, "rays": payload["rays"]}
-    )
-    if args.cert:
-        _write_json(args.cert, cert)
+    cert = ser.census_certificate(_tile(args))
+    counts = cert["payload"]["counts"]
+    print(f"{args.form}: {counts['total']} facets, by ray count {counts['by_rays']}")
+    ok, msg = _certify(args.cert, cert)
     if args.out:
-        _write_json(args.out, payload)
-    ok, msg = certs.check_certificate(cert)
+        _write_json(args.out, cert["payload"])
     print(msg)
     return EXIT_OK if ok else EXIT_INVALID
 
@@ -114,36 +109,25 @@ def cmd_tile_stabilizer(args) -> int:
 
 def _facet_config(args):
     tile = _tile(args)
-    if args.facet:
-        labels = _facet_labels(args.facet)
-    else:
-        labels = tuple(tile.labels)
-    geom = cy.facet_geometry(tile, labels)
-    return geom
+    labels = _facet_labels(args.facet) if args.facet else tuple(tile.labels)
+    return cy.facet_geometry(tile, labels)
 
 
 def cmd_triangulate(args) -> int:
     geom = _facet_config(args)
     tri = pt.placing_triangulation(geom.config)
     heights = pt.is_regular(geom.config, tri)
-    doc = {
-        "form": args.form,
-        "labels": list(geom.tile_labels),
-        "simplices": ser.triangulation_to_json(tri),
-        "heights": {str(i): q_str(h) for i, h in heights.items()},
-    }
     print(f"placing triangulation: {len(tri)} simplices")
-    payload = {
-        "points": ser.points_to_json(geom.config.points),
-        "simplices": doc["simplices"],
-        "heights": doc["heights"],
-    }
-    cert = certs.make_certificate("triangulation", payload, doc["labels"])
     if args.out:
-        _write_json(args.out, doc)
-    if args.cert:
-        _write_json(args.cert, cert)
-    ok, msg = certs.check_certificate(cert)
+        _write_json(args.out, {
+            "form": args.form,
+            "labels": list(geom.tile_labels),
+            "simplices": ser.triangulation_to_json(tri),
+            "heights": ser.heights_to_json(heights),
+        })
+    ok, msg = _certify(
+        args.cert, ser.triangulation_certificate(geom.config, tri, heights, geom.tile_labels)
+    )
     print(msg)
     return EXIT_OK if ok else EXIT_INVALID
 
@@ -155,21 +139,6 @@ def cmd_triangulations_enumerate(args) -> int:
     if args.out:
         _write_json(args.out, [ser.triangulation_to_json(t) for t in tris])
     return EXIT_OK
-
-
-def _flip_payload(config, path):
-    def simplices(oriented):
-        return [{"labels": list(s), "orientation": o} for s, o in oriented]
-
-    entries = []
-    for flip in path:
-        links = [
-            {"link": list(l.link), "e": l.e,
-             "removed": simplices(l.removed), "inserted": simplices(l.inserted)}
-            for l in pt.verify_flip_identity(config, flip)
-        ]
-        entries.append({"circuit": sorted(flip.circuit.labels), "links": links})
-    return {"points": ser.points_to_json(config.points), "flips": entries}
 
 
 def _flip_path(args):
@@ -205,49 +174,33 @@ def cmd_flip_path(args) -> int:
 
 def cmd_flip_verify(args) -> int:
     geom, path = _flip_path(args)
-    payload = _flip_payload(geom.config, path)
-    cert_doc = certs.make_certificate("flip-identity", payload, payload["points"])
-    if args.cert:
-        _write_json(args.cert, cert_doc)
-    ok, msg = certs.check_certificate(cert_doc)
+    ok, msg = _certify(args.cert, ser.flip_identity_certificate(geom.config, path))
     print(f"{len(path)} flip identities verified; {msg}")
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_sharbly_canon(args) -> int:
-    doc = _read_json(args.infile)
-    chain = ser.chain_from_json(doc)
-    out = ser.chain_to_json(chain)
-    if args.out:
-        _write_json(args.out, out)
+def _write_or_print(path, doc) -> None:
+    if path:
+        _write_json(path, doc)
     else:
-        json.dump(out, sys.stdout, indent=1)
+        json.dump(doc, sys.stdout, indent=1)
         print()
+
+
+def cmd_sharbly_canon(args) -> int:
+    chain = ser.chain_from_json(_read_json(args.infile))
+    _write_or_print(args.out, ser.chain_to_json(chain))
     return EXIT_OK
 
 
 def cmd_sharbly_boundary(args) -> int:
-    doc = _read_json(args.infile)
-    chain = ser.chain_from_json(doc)
-    try:
-        out = ser.chain_to_json(boundary(chain))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.out:
-        _write_json(args.out, out)
-    else:
-        json.dump(out, sys.stdout, indent=1)
-        print()
+    chain = ser.chain_from_json(_read_json(args.infile))
+    _write_or_print(args.out, ser.chain_to_json(boundary(chain)))
     return EXIT_OK
 
 
 def cmd_cycle_build(args) -> int:
-    try:
-        z = cy.build_zG(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    z = cy.build_zG(args.n)
     print(
         f"cycle for n={args.n}: {len(z.provenance)} weighted terms, "
         f"{len(z.coin)} coinvariant classes, stabilizer orders {z.stabilizer_orders}"
@@ -260,11 +213,7 @@ def cmd_cycle_build(args) -> int:
 def cmd_cycle_verify(args) -> int:
     z = ser.cycle_from_json(_read_json(args.infile))
     cert = cy.verify_boundary_zero(z)
-    payload = ser.boundary_certificate_to_json(cert, z)
-    cert_doc = certs.make_certificate("boundary", payload, ser.cycle_to_json(z))
-    if args.cert:
-        _write_json(args.cert, cert_doc)
-    ok, msg = certs.check_certificate(cert_doc)
+    ok, msg = _certify(args.cert, ser.boundary_certificate(cert, z))
     print(f"boundary certificate: {'valid' if cert.valid else 'INVALID'}; {msg}")
     return EXIT_OK if cert.valid and ok else EXIT_INVALID
 
@@ -299,18 +248,13 @@ def cmd_cycle_remark_an(args) -> int:
 def cmd_cocycle_certify(args) -> int:
     z = ser.cycle_from_json(_read_json(args.infile))
     cert = mu_sign_certificate(z)
-    payload = ser.positivity_certificate_to_json(cert)
-    cert_doc = certs.make_certificate("positivity", payload, ser.cycle_to_json(z))
-    if args.cert:
-        _write_json(args.cert, cert_doc)
-    ok, msg = certs.check_certificate(cert_doc)
+    ok, msg = _certify(args.cert, ser.positivity_certificate(cert, z))
     print(f"positivity certificate: {'valid' if cert.valid else 'INVALID'}; {msg}")
     return EXIT_OK if cert.valid and ok else EXIT_INVALID
 
 
 def cmd_cert_check(args) -> int:
-    cert = _read_json(args.certfile)
-    ok, msg = certs.check_certificate(cert)
+    ok, msg = certs.check_certificate(_read_json(args.certfile))
     print(msg)
     return EXIT_OK if ok else EXIT_INVALID
 
@@ -437,10 +381,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import data
 from .exactq import Q, int_matrix_inverse
 from .polytope import PointConfiguration
 from .sharbly import (
@@ -66,8 +65,6 @@ def default_triangulation(tile: Tile) -> list[frozenset]:
     d = tile.n * (tile.n + 1) // 2
     if len(tile.ray_vectors) == d:
         return [frozenset(tile.labels)]
-    if tile.form.name == "D4":
-        return [frozenset(s) for s in data.D4_TRIANGULATION]
     from .polytope import placing_triangulation
 
     config, orig = section_configuration(tile)
@@ -91,7 +88,7 @@ def build_zG(n: int) -> CycleChain:
         weight = Fraction(1, order)
         for simplex in sorted(default_triangulation(tile), key=sorted):
             rays = [tile.ray_vectors[i] for i in sorted(simplex)]
-            sign, basic = sharbly_of_cone(rays, tile.orientation)
+            sign, basic = sharbly_of_cone(rays)
             raw.add(basic, weight * sign)
             provenance.append(
                 TermProvenance(tile.form.name, tuple(sorted(simplex)), weight, sign, basic)
@@ -257,7 +254,7 @@ def verify_an_remark(n: int) -> dict:
 
     entry = builtin_dataset(n)[0]
     tile = tile_of(form_from_minvecs(entry.vectors, entry.name))
-    sign, basic = sharbly_of_cone(tile.ray_vectors, tile.orientation)
+    sign, basic = sharbly_of_cone(tile.ray_vectors)
     odict = OrbitDictionary()
     from .sharbly import project_coinvariants
 

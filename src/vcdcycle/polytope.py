@@ -470,12 +470,10 @@ def _flip_from_circuit(tri: Triangulation, z: Circuit) -> Optional[Flip]:
     """
     for part in (z.positive_part, z.negative_part):
         star: dict[int, set] = {w: set() for w in part}
-        covered = set()
         for s in tri:
             for w in part:
                 if z.labels - {w} <= s:
                     star[w].add(frozenset(s - (z.labels - {w})))
-                    covered.add(s)
                     break
         if any(not v for v in star.values()):
             continue
@@ -486,8 +484,6 @@ def _flip_from_circuit(tri: Triangulation, z: Circuit) -> Optional[Flip]:
         removed = frozenset(
             frozenset((z.labels - {w}) | f) for w in part for f in link
         )
-        if removed != frozenset(covered) or not removed <= tri:
-            continue
         other = z.negative_part if part == z.positive_part else z.positive_part
         inserted = frozenset(
             frozenset((z.labels - {w}) | f) for w in other for f in link

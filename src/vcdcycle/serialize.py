@@ -3,15 +3,26 @@
 Rationals serialize as "p/q" (or "p" when the denominator is one); vectors
 and matrices as nested integer lists; triangulations as sorted lists of
 sorted label lists.  parse(serialize(x)) is the identity on every payload.
+
+Every certificate is written here, one builder per kind (`census_certificate`,
+`triangulation_certificate`, `flip_identity_certificate`,
+`boundary_certificate`, `positivity_certificate`), each returning the whole
+certificate: schema version, kind, the SHA-256 `input_hash` of the object
+the claim is about, and the payload.  `certs.check_certificate` reads them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
+from .certs import SCHEMA_VERSION
 from .cycle import BoundaryCertificate, CycleChain, TermProvenance
 from .exactq import q_parse, q_str
+from .polytope import verify_flip_identity
 from .sharbly import BasicSharbly, OrbitDictionary, SharblyChain, canonicalize, project_coinvariants
+from .voronoi import tile_facets
 
 
 def chain_to_json(chain: SharblyChain) -> list:
@@ -149,8 +160,77 @@ def cycle_from_json(doc: dict) -> CycleChain:
     return CycleChain(n, raw, provenance, odict, coin, dict(orders))
 
 
-def boundary_certificate_to_json(cert: BoundaryCertificate, z: CycleChain) -> dict:
+def input_hash(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def make_certificate(kind: str, payload: dict, input_obj) -> dict:
     return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "input_hash": input_hash(input_obj),
+        "payload": payload,
+    }
+
+
+def census_certificate(tile) -> dict:
+    """The tile's facets, each as its ray labels and inward functional, with
+    their counts by number of rays; hashes the form name and the rays."""
+    facets = tile_facets(tile)
+    sizes: dict[str, int] = {}
+    for f, _ in facets:
+        k = str(len(f))
+        sizes[k] = sizes.get(k, 0) + 1
+    rays = [list(v) for v in tile.ray_vectors]
+    payload = {
+        "rays": rays,
+        "facets": [{"labels": sorted(f), "functional": list(fn)} for f, fn in facets],
+        "counts": {"total": len(facets), "by_rays": sizes},
+    }
+    return make_certificate("census", payload, {"form": tile.form.name, "rays": rays})
+
+
+def heights_to_json(heights) -> dict:
+    return {str(i): q_str(h) for i, h in heights.items()}
+
+
+def triangulation_certificate(config, tri, heights, labels) -> dict:
+    """The triangulation with its lifting heights; hashes the tile labels
+    of the configuration's points."""
+    payload = {
+        "points": points_to_json(config.points),
+        "simplices": triangulation_to_json(tri),
+        "heights": heights_to_json(heights),
+    }
+    return make_certificate("triangulation", payload, list(labels))
+
+
+def flip_identity_certificate(config, path) -> dict:
+    """The identity of each flip of the path, link by link, with every
+    simplex's orientation; hashes the points."""
+
+    def simplices(oriented):
+        return [{"labels": list(s), "orientation": o} for s, o in oriented]
+
+    flips = [
+        {
+            "circuit": sorted(flip.circuit.labels),
+            "links": [
+                {"link": list(l.link), "e": l.e,
+                 "removed": simplices(l.removed), "inserted": simplices(l.inserted)}
+                for l in verify_flip_identity(config, flip)
+            ],
+        }
+        for flip in path
+    ]
+    points = points_to_json(config.points)
+    return make_certificate("flip-identity", {"points": points, "flips": flips}, points)
+
+
+def boundary_certificate(cert: BoundaryCertificate, z: CycleChain) -> dict:
+    """The boundary ledger of z; hashes the cycle."""
+    payload = {
         "n": cert.n,
         "chain": chain_to_json(z.raw),
         "terms": [
@@ -188,10 +268,12 @@ def boundary_certificate_to_json(cert: BoundaryCertificate, z: CycleChain) -> di
         ],
         "valid": cert.valid,
     }
+    return make_certificate("boundary", payload, cycle_to_json(z))
 
 
-def positivity_certificate_to_json(cert) -> dict:
-    return {
+def positivity_certificate(cert, z: CycleChain) -> dict:
+    """The sign verdict of each class of z; hashes the cycle."""
+    payload = {
         "verdicts": [
             {
                 "rep": [list(v) for v in v.rep],
@@ -203,6 +285,7 @@ def positivity_certificate_to_json(cert) -> dict:
         ],
         "valid": cert.valid,
     }
+    return make_certificate("positivity", payload, cycle_to_json(z))
 
 
 def points_to_json(points) -> list:

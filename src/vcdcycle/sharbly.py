@@ -557,14 +557,12 @@ def project_coinvariants(
 # oriented top cones
 
 
-def sharbly_of_cone(
-    vectors: Sequence[Sequence], orientation: int = 1
-) -> tuple[int, BasicSharbly]:
+def sharbly_of_cone(vectors: Sequence[Sequence]) -> tuple[int, BasicSharbly]:
     """Basic sharbly of a top simplicial cone, signed by orientation.
 
     The returned pair (sign, basic) satisfies: sign * basic equals the
     symbol whose vector order gives the rank-1 forms positive determinant
-    in the upper-triangle coordinates, times the orientation datum.
+    in the upper-triangle coordinates.
     """
     res = canonicalize(vectors)
     if res is ZERO:
@@ -578,10 +576,7 @@ def sharbly_of_cone(
     dval = int_det(dmat)
     if dval == 0:
         raise ValueError("rays are dependent in the space of forms")
-    sign = 1 if dval > 0 else -1
-    if orientation not in (1, -1):
-        raise ValueError("orientation datum must be +-1")
-    return orientation * sign, basic
+    return (1 if dval > 0 else -1), basic
 
 
 # ---------------------------------------------------------------------------

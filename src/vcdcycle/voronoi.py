@@ -44,13 +44,12 @@ class PerfectForm:
 
 @dataclass(frozen=True)
 class Tile:
-    """Oriented top-dimensional cone of a perfect form."""
+    """Top-dimensional cone of a perfect form; `sharbly_of_cone` orients its simplices."""
 
     form: PerfectForm
     ray_vectors: tuple[IntVector, ...]  # primitive v, label = position
     rays: tuple[IntVector, ...]  # upper-triangle coordinates of v v^t
     section_points: tuple[tuple[Q, ...], ...]  # trace-1 scalings of the rays
-    orientation: int = 1
 
     @property
     def n(self) -> int:

@@ -16,9 +16,7 @@ from vcdcycle.cosharbly import mu_sign_certificate
 @pytest.fixture(scope="module")
 def z2_cert():
     z = cy.build_zG(2)
-    cert = cy.verify_boundary_zero(z)
-    payload = ser.boundary_certificate_to_json(cert, z)
-    return certs.make_certificate("boundary", payload, ser.cycle_to_json(z))
+    return ser.boundary_certificate(cy.verify_boundary_zero(z), z)
 
 
 def test_boundary_certificate_checks(z2_cert):
@@ -53,9 +51,7 @@ def test_boundary_certificate_tampering(z2_cert, mutate):
 
 def test_positivity_certificate_and_tampering():
     z = cy.build_zG(2)
-    cert = mu_sign_certificate(z)
-    payload = ser.positivity_certificate_to_json(cert)
-    doc = certs.make_certificate("positivity", payload, ser.cycle_to_json(z))
+    doc = ser.positivity_certificate(mu_sign_certificate(z), z)
     ok, _ = certs.check_certificate(doc)
     assert ok
     bad = copy.deepcopy(doc)
@@ -149,6 +145,19 @@ def test_cli_bad_input(tmp_path):
     missing = tmp_path / "nope.json"
     assert cli.main(["cycle", "verify", "--in", str(missing), "--cert", "/dev/null"]) == 2
     assert cli.main(["cycle", "build", "--n", "9"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["cert", "check", d],
+    lambda d: ["cycle", "verify", "--in", d],
+    lambda d: ["cycle", "build", "--n", "2", "--out", d],
+], ids=["cert check", "cycle verify --in", "cycle build --out"])
+def test_cli_directory_path_is_an_input_error(tmp_path, capsys, argv):
+    """A directory where a file is read or written is bad input (exit 2),
+    reported in one line, not a traceback."""
+    assert cli.main(argv(str(tmp_path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("facet", ["0,1,99", "0,1,-1", "0,1,1,2"])

@@ -1,8 +1,9 @@
 """Byte-for-byte pins of the rank-4 cycle, its two certificates and the D4
-stabilizer, and of the D5 facet F triangulation and flip-identity outputs.
-The rank-4 digests are those of the outputs before the equivalence search
-became one integer pass; the D5 ones those before the flip identities were
-keyed on point labels.  A change to the search, the elimination or the
+stabilizer, of the D5 facet F triangulation and flip-identity outputs, and
+of the D5 facet census.  The rank-4 digests are those of the outputs before
+the equivalence search became one integer pass; the D5 facet F ones those
+before the flip identities were keyed on point labels; the census ones
+those before the certificate builders moved into `serialize`.  A change to the search, the elimination or the
 serialization that alters any output byte fails here, so a new output
 needs a deliberate new pin."""
 
@@ -62,3 +63,16 @@ def test_d5_facet_triangulation_and_flip_certificates_are_pinned(tmp_path):
     for argv in runs:
         assert cli.main(argv) == 0, argv
     assert {name: _sha256(tmp_path / name) for name in D5_PINNED} == D5_PINNED
+
+
+CENSUS_PINNED = {
+    "census-cert.json": "4ed992cb65007a7bb6883af2bae5ea28a5bba50f6a7cd5b99b9238de2bb01a2d",
+    "census.json": "c749a2523e9d1c27dad2c87d1a8bd27188e7c100d3cf7f5d679e215b03018e84",
+}
+
+
+def test_d5_census_certificate_and_output_are_pinned(tmp_path):
+    argv = ["tile", "facets", "--form", "D5", "--out", str(tmp_path / "census.json"),
+            "--cert", str(tmp_path / "census-cert.json")]
+    assert cli.main(argv) == 0
+    assert {name: _sha256(tmp_path / name) for name in CENSUS_PINNED} == CENSUS_PINNED
