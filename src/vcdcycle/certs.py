@@ -6,14 +6,27 @@ that write each kind are in `serialize`; `check_certificate` never repeats
 a search: it re-verifies witness matrices, cancellation sums, lifting
 inequalities, orientation signs and tightness conditions against the data
 embedded in the file.
+
+A census certificate is checked on one base elimination: the rays must
+span, each functional must be nonnegative on every ray and tight exactly
+on its facet's labels, and each facet's tight rank, read off the
+adjugate of d independent pairing rows (`_tight_rank`), must be d - 1.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Callable
+from typing import Callable, Optional
 
-from .exactq import Q, int_det, int_rank, pairing_row, q_parse
+from .exactq import (
+    Q,
+    independent_rows,
+    int_det,
+    int_det_adjugate,
+    int_rank,
+    pairing_row,
+    q_parse,
+)
 from .sharbly import BasicSharbly, SharblyChain, ZERO, act, boundary
 
 SCHEMA_VERSION = 1
@@ -221,6 +234,9 @@ def _check_census(payload: dict) -> tuple[bool, str]:
         return False, f"a ray whose length is not {n}"
     d = n * (n + 1) // 2
     rows = [pairing_row(v) for v in vectors]  # rows[i] . y = v_i^t Y v_i
+    frame = _base_frame(rows, d)
+    if frame is None:
+        return False, "rays do not span"
     facets = payload["facets"]
     sizes: dict[str, int] = {}
     for f in facets:
@@ -233,13 +249,40 @@ def _check_census(payload: dict) -> tuple[bool, str]:
         tight = [i for i, val in enumerate(values) if val == 0]
         if tight != sorted(int(x) for x in f["labels"]):
             return False, "tight set mismatch"
-        if int_rank([rows[i] for i in tight]) != d - 1:
+        if _tight_rank(frame, tight) != d - 1:
             return False, "facet is not of codimension one"
         sizes[str(len(tight))] = sizes.get(str(len(tight)), 0) + 1
     counts = payload["counts"]
     if counts.get("total") != len(facets) or counts.get("by_rays") != sizes:
         return False, "census counts mismatch"
     return True, "census certificate valid"
+
+
+def _base_frame(rows: list, d: int) -> Optional[tuple[list[int], dict]]:
+    """(base, coords): the indices of d independent rows R_B, and each other
+    row's integer coordinates row . adj(R_B) in that base; None when the rows
+    span less than dimension d."""
+    base = independent_rows(rows, d)
+    if len(base) < d:
+        return None
+    _, adj = int_det_adjugate([rows[i] for i in base])
+    cols = list(zip(*adj))
+    others = [i for i in range(len(rows)) if i not in base]
+    return base, {i: tuple(sum(map(mul, rows[i], c)) for c in cols) for i in others}
+
+
+def _tight_rank(frame: tuple[list[int], dict], tight) -> int:
+    """The rank of the rows labelled `tight`, read off the base frame.
+
+    In the coordinates of row . adj(R_B), invertible over Q, the base rows
+    are multiples of unit vectors, so the rank is |T & B| plus the rank of
+    the other tight rows' coordinates at the base positions outside T.
+    """
+    base, coords = frame
+    tight = set(tight)
+    free = [k for k, i in enumerate(base) if i not in tight]
+    rest = [[c[k] for k in free] for i, c in coords.items() if i in tight]
+    return len(base) - len(free) + int_rank(rest)
 
 
 _CHECKERS: dict[str, Callable] = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional
 
 from .exactq import Q, int_matrix_inverse
@@ -60,16 +61,18 @@ def _tiles_for(n: int) -> list[Tile]:
     return [tile_of(form_from_minvecs(e.vectors, e.name)) for e in builtin_dataset(n)]
 
 
-def default_triangulation(tile: Tile) -> list[frozenset]:
-    """One regular triangulation of the tile, as ray label sets."""
+@cache
+def default_triangulation(tile: Tile) -> tuple[frozenset, ...]:
+    """One regular triangulation of the tile, as ray label sets; computed
+    once per tile in a process."""
     d = tile.n * (tile.n + 1) // 2
     if len(tile.ray_vectors) == d:
-        return [frozenset(tile.labels)]
+        return (frozenset(tile.labels),)
     from .polytope import placing_triangulation
 
     config, orig = section_configuration(tile)
     tri = placing_triangulation(config)
-    return [frozenset(orig[i] for i in s) for s in tri]
+    return tuple(frozenset(orig[i] for i in s) for s in tri)
 
 
 def build_zG(n: int) -> CycleChain:

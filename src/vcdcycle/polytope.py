@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
 from .exactq import (
-    Q, independent_rows, int_det, int_det_adjugate, int_rows, nullspace,
-    primitive_normalize, solve, vec_q,
+    Q, _clear_row, _gauss_jordan, independent_rows, int_det, int_det_adjugate,
+    int_rows, nullspace, primitive_normalize, vec_q,
 )
 from .sharbly import AntisymSum
 
@@ -554,7 +554,11 @@ def _canon_tri(tri: Triangulation) -> tuple:
 
 
 def _regular_flip_search(
-    config: PointConfiguration, start: Triangulation, budget: int, what: str
+    config: PointConfiguration,
+    start: Triangulation,
+    budget: int,
+    what: str,
+    proven: frozenset = frozenset(),
 ) -> Iterator[tuple[tuple, Triangulation, tuple, Flip]]:
     """Breadth-first search over the regular triangulations that flips
     connect to the regular `start`.
@@ -563,7 +567,8 @@ def _regular_flip_search(
     reached, in visit order (keys are `_canon_tri`).  After each yield the
     triangulation is queued, and once more than `budget` are known, the
     start included, BudgetExceeded is raised: a caller that stops at the
-    yield never meets that test.
+    yield never meets that test.  Keys in `proven` name triangulations the
+    caller has already shown regular; their LP is not run again.
     """
     start_key = _canon_tri(start)
     seen = {start_key}
@@ -575,7 +580,7 @@ def _regular_flip_search(
             nkey = _canon_tri(nxt)
             if nkey in seen:
                 continue
-            if is_regular(config, nxt) is None:
+            if nkey not in proven and is_regular(config, nxt) is None:
                 continue
             seen.add(nkey)
             yield nkey, nxt, key, f
@@ -616,7 +621,8 @@ def flip_path(
         return []
     target = _canon_tri(t2)
     parents: dict[tuple, tuple] = {}
-    for key, _, parent, f in _regular_flip_search(config, t1, budget, "flip path"):
+    search = _regular_flip_search(config, t1, budget, "flip path", frozenset([target]))
+    for key, _, parent, f in search:
         parents[key] = (parent, f)
         if key == target:
             path = []
@@ -720,18 +726,14 @@ def project_to_affine_span(points: Sequence[Sequence]) -> list[tuple[Q, ...]]:
     """
     pts = [vec_q(p) for p in points]
     base = pts[0]
-    diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
+    diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts]
     basis = [diffs[k] for k in independent_rows(int_rows(diffs), len(base))]
     k = len(basis)
-    mat = [list(col) for col in zip(*basis)] if basis else []
-    out = []
-    for p in pts:
-        rhs = [x - y for x, y in zip(p, base)]
-        if k == 0:
-            out.append(())
-            continue
-        sol = solve(mat, rhs)
-        if sol is None:
-            raise AssertionError("point outside its own affine span")
-        out.append(tuple(sol))
-    return out
+    if k == 0:
+        return [()] * len(pts)
+    # one elimination of [basis | every difference], column by column: the
+    # basis is independent, so each point's coordinates are unique
+    red, pivots, p, _ = _gauss_jordan([_clear_row(r) for r in zip(*basis, *diffs)])
+    if pivots != list(range(k)):
+        raise AssertionError("point outside its own affine span")
+    return [tuple(Q(red[r][k + j], p) for r in range(k)) for j in range(len(pts))]

@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 import os
 
-from vcdcycle import exactq, polytope, repro, sharbly
+from vcdcycle import exactq, polytope, repro, sharbly, voronoi
 
 _SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -31,7 +31,7 @@ def test_traced_layers_exist():
 
 def test_rebound_aliases_are_the_originals():
     assert polytope.nullspace is exactq.nullspace
-    assert polytope.solve is exactq.solve
+    assert voronoi.solve is exactq.solve
     assert repro.canonicalize is sharbly.canonicalize
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from vcdcycle import polytope as pt
 from vcdcycle import serialize as ser
 from vcdcycle import voronoi as vr
 from vcdcycle.cosharbly import mu_sign_certificate
+from vcdcycle.exactq import int_rank, pairing_row
 
 
 @pytest.fixture(scope="module")
@@ -629,6 +631,12 @@ def _sum_of_two_facets(payload):
     _recount(payload)
 
 
+def _keep_too_few_rays(payload):
+    # d - 1 rays span a hyperplane at most: no tile is that thin
+    n = len(payload["rays"][0])
+    del payload["rays"][n * (n + 1) // 2 - 1 :]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_negate_a_functional, "functional negative on a ray"),
     (_add_a_label, "tight set mismatch"),
@@ -642,6 +650,7 @@ def _sum_of_two_facets(payload):
     (_lengthen_a_ray, "a ray whose length is not {n}"),
     (_shorten_a_ray, "a ray whose length is not {n}"),
     (_sum_of_two_facets, "facet is not of codimension one"),
+    (_keep_too_few_rays, "rays do not span"),
 ])
 def test_cli_cert_check_rejects_a_mutated_census(tmp_path, capsys, census_cert, mutate, message):
     n = len(census_cert["payload"]["rays"][0])
@@ -655,6 +664,16 @@ def test_cli_cert_check_rejects_a_mutated_census(tmp_path, capsys, census_cert, 
     capsys.readouterr()
     assert cli.main(["cert", "check", str(cert)]) == 1
     assert capsys.readouterr().out == message + "\n"
+
+
+@pytest.mark.parametrize("form", ["D5", "A4", "D4"])
+def test_tight_rank_matches_int_rank(form):
+    rows = [pairing_row(v) for v in vr.builtin_tile(form).ray_vectors]
+    frame = certs._base_frame(rows, len(rows[0]))
+    rng = random.Random(form)
+    for _ in range(500):
+        tight = sorted(rng.sample(range(len(rows)), rng.randint(0, len(rows))))
+        assert certs._tight_rank(frame, tight) == int_rank([rows[i] for i in tight]), tight
 
 
 def test_cli_budget_exceeded(tmp_path):

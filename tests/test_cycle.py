@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from vcdcycle import cycle as cy
+from vcdcycle import polytope as pt
 from vcdcycle.exactq import int_det
 from vcdcycle.sharbly import canonicalize
 
@@ -23,6 +24,21 @@ def test_build_z3_closed_form():
     ((cls, coeff),) = tuple(z.coin.items())
     assert cls.rep == b and coeff == F(sign, 24)
     assert z.stabilizer_orders == {"A3": 24}
+
+
+def test_build_z4_places_the_d4_tile_once(monkeypatch):
+    calls = []
+    placing = pt.placing_triangulation
+
+    def counting(config, *args, **kwargs):
+        calls.append(len(config))
+        return placing(config, *args, **kwargs)
+
+    monkeypatch.setattr(pt, "placing_triangulation", counting)
+    cy.default_triangulation.cache_clear()
+    first, second = cy.build_zG(4), cy.build_zG(4)
+    assert calls == [12]
+    assert first.raw == second.raw and first.coin == second.coin
 
 
 def test_build_unsupported_rank():

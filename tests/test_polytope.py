@@ -9,7 +9,9 @@ from vcdcycle import data
 from vcdcycle import polytope as pt
 from vcdcycle import voronoi as vr
 from vcdcycle.dd import cone_facets
-from vcdcycle.exactq import as_q, int_rank, mat_vec_int, nullspace
+from vcdcycle.exactq import (
+    as_q, independent_rows, int_rank, int_rows, mat_vec_int, nullspace, solve, vec_q,
+)
 from vcdcycle.sharbly import AntisymSum, _perm_sign
 
 
@@ -314,6 +316,54 @@ def test_project_to_affine_span():
         frozenset({0, 3}),
         frozenset({1, 2}),
     }
+
+
+def oracle_project_to_affine_span(points):
+    """`project_to_affine_span` as it was: one `solve` per point."""
+    pts = [vec_q(p) for p in points]
+    diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts]
+    basis = [diffs[k] for k in independent_rows(int_rows(diffs), len(pts[0]))]
+    if not basis:
+        return [()] * len(pts)
+    mat = [list(col) for col in zip(*basis)]
+    return [solve(mat, rhs) for rhs in diffs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_to_affine_span_matches_the_per_point_solve(seed):
+    rng = random.Random(seed)
+    cases = [[(1, 2, 3)], [(1, 1), (1, 1), (1, 1)]]
+    for _ in range(20):
+        dim, npts = rng.randint(1, 5), rng.randint(1, 8)
+        cases.append([
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            for _ in range(npts)
+        ])
+        # points on a random line in dimension 4: not full-dimensional
+        a, b = (tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(2))
+        cases.append([
+            tuple(x + Fraction(t, 2) * y for x, y in zip(a, b))
+            for t in rng.sample(range(-5, 6), 4)
+        ])
+    tile = vr.builtin_tile("D5")
+    cases.append([tile.section_points[i] for i in sorted(data.D5_FACET_F)])
+    for pts in cases:
+        assert pt.project_to_affine_span(pts) == oracle_project_to_affine_span(pts), pts
+
+
+def test_flip_path_proves_the_target_regular_once(monkeypatch):
+    calls = []
+    is_regular = pt.is_regular
+
+    def counting(config, tri):
+        calls.append(tri)
+        return is_regular(config, tri)
+
+    monkeypatch.setattr(pt, "is_regular", counting)
+    config, t1, t2 = _d5_facet_f()
+    path = pt.flip_path(config, t1, t2)
+    assert [sorted(f.circuit.labels) for f in path] == [[0, 1, 5, 6, 9, 10, 12, 13]]
+    assert calls == [t1, t2]
 
 
 # ---------------------------------------------------------------------------
