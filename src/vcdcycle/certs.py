@@ -9,8 +9,9 @@ embedded in the file.
 
 A census certificate is checked on one base elimination: the rays must
 span, each functional must be nonnegative on every ray and tight exactly
-on its facet's labels, and each facet's tight rank, read off the
-adjugate of d independent pairing rows (`_tight_rank`), must be d - 1.
+on its facet's labels, no two facets may share their labels, and each
+facet's tight rank, read off the adjugate of d independent pairing rows
+(`_tight_rank`), must be d - 1.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Callable, Optional
 
+from .cosharbly import epsilon, is_flipon, section_rays
 from .exactq import (
     Q,
     independent_rows,
@@ -27,9 +29,17 @@ from .exactq import (
     pairing_row,
     q_parse,
 )
+from .polytope import (
+    PointConfiguration,
+    _simplex_dependences,
+    _simplex_det,
+    circuit_link_sum,
+    hull_volume_scaled,
+    oriented_difference,
+    simplex_orientation,
+)
+from .serialize import SCHEMA_VERSION, points_from_json, triangulation_from_json
 from .sharbly import BasicSharbly, SharblyChain, ZERO, act, boundary
-
-SCHEMA_VERSION = 1
 
 
 def check_certificate(cert: dict) -> tuple[bool, str]:
@@ -134,8 +144,6 @@ def _negates(g, basic: BasicSharbly) -> bool:
 
 
 def _check_positivity(payload: dict) -> tuple[bool, str]:
-    from .cosharbly import epsilon, is_flipon, section_rays
-
     positives = 0
     for item in payload["verdicts"]:
         n = len(item["rep"][0])
@@ -162,14 +170,6 @@ def _check_positivity(payload: dict) -> tuple[bool, str]:
 
 
 def _check_triangulation(payload: dict) -> tuple[bool, str]:
-    from .polytope import (
-        PointConfiguration,
-        _barycentric,
-        _simplex_det,
-        hull_volume_scaled,
-    )
-    from .serialize import points_from_json, triangulation_from_json
-
     config = PointConfiguration.from_points(points_from_json(payload["points"]))
     tri = triangulation_from_json(payload["simplices"])
     keys = set(payload["heights"])
@@ -185,9 +185,9 @@ def _check_triangulation(payload: dict) -> tuple[bool, str]:
         if d == 0:
             return False, "degenerate simplex"
         total += abs(d)
-        for w, lam in _barycentric(config, s).items():
-            lifted = sum(c * heights[l] for l, c in lam.items())
-            if not heights[w] > lifted:
+        # h_w above the lifted simplex at p_w: h_w > sum_l (-c_l / det) h_l
+        for w, (det, dep) in _simplex_dependences(config, s).items():
+            if (det * heights[w] + sum(c * heights[l] for l, c in dep.items())) * det <= 0:
                 return False, "height witness violates a lifting inequality"
     if total != hull_volume_scaled(config):
         return False, "simplex volumes do not sum to the hull volume"
@@ -195,14 +195,6 @@ def _check_triangulation(payload: dict) -> tuple[bool, str]:
 
 
 def _check_flip_identity(payload: dict) -> tuple[bool, str]:
-    from .polytope import (
-        PointConfiguration,
-        circuit_link_sum,
-        oriented_difference,
-        simplex_orientation,
-    )
-    from .serialize import points_from_json
-
     config = PointConfiguration.from_points(points_from_json(payload["points"]))
     for flip_entry in payload["flips"]:
         circuit = [int(x) for x in flip_entry["circuit"]]
@@ -239,6 +231,7 @@ def _check_census(payload: dict) -> tuple[bool, str]:
         return False, "rays do not span"
     facets = payload["facets"]
     sizes: dict[str, int] = {}
+    listed: set[tuple] = set()
     for f in facets:
         functional = tuple(int(x) for x in f["functional"])
         if len(functional) != d:
@@ -249,6 +242,9 @@ def _check_census(payload: dict) -> tuple[bool, str]:
         tight = [i for i, val in enumerate(values) if val == 0]
         if tight != sorted(int(x) for x in f["labels"]):
             return False, "tight set mismatch"
+        if tuple(tight) in listed:
+            return False, "facet listed twice"
+        listed.add(tuple(tight))
         if _tight_rank(frame, tight) != d - 1:
             return False, "facet is not of codimension one"
         sizes[str(len(tight))] = sizes.get(str(len(tight)), 0) + 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import certs, cycle as cy, data, polytope as pt, repro, serialize as ser, voronoi as vr
@@ -43,8 +44,6 @@ def _budget(s: str) -> int:
 
 def _check_writable(args) -> None:
     """Fail fast on unwritable output paths, before long computations."""
-    import os
-
     for attr in ("out", "cert"):
         path = getattr(args, attr, None)
         if path:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional
 
-from .exactq import Q, int_matrix_inverse
-from .polytope import PointConfiguration
+from .exactq import Q, int_matrix_inverse, mat_mul_int
+from .polytope import PointConfiguration, placing_triangulation
 from .sharbly import (
     BasicSharbly,
     GroupElement,
@@ -26,9 +26,12 @@ from .sharbly import (
     OrbitDictionary,
     SharblyChain,
     boundary_basic,
+    project_coinvariants,
     sharbly_of_cone,
 )
-from .voronoi import Tile, section_configuration
+from .voronoi import (
+    Tile, builtin_dataset, form_from_minvecs, section_configuration, stabilizer, tile_of,
+)
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,6 @@ SUPPORTED_RANKS = (2, 3, 4)
 
 
 def _tiles_for(n: int) -> list[Tile]:
-    from .voronoi import builtin_dataset, form_from_minvecs, tile_of
-
     return [tile_of(form_from_minvecs(e.vectors, e.name)) for e in builtin_dataset(n)]
 
 
@@ -68,8 +69,6 @@ def default_triangulation(tile: Tile) -> tuple[frozenset, ...]:
     d = tile.n * (tile.n + 1) // 2
     if len(tile.ray_vectors) == d:
         return (frozenset(tile.labels),)
-    from .polytope import placing_triangulation
-
     config, orig = section_configuration(tile)
     tri = placing_triangulation(config)
     return tuple(frozenset(orig[i] for i in s) for s in tri)
@@ -79,8 +78,6 @@ def build_zG(n: int) -> CycleChain:
     """The stabilizer-weighted cycle for rank n in {2, 3, 4}."""
     if n not in SUPPORTED_RANKS:
         raise ValueError(f"rank {n} is not supported for cycle assembly")
-    from .voronoi import stabilizer
-
     odict = OrbitDictionary()
     raw = SharblyChain()
     provenance: list[TermProvenance] = []
@@ -96,8 +93,6 @@ def build_zG(n: int) -> CycleChain:
             provenance.append(
                 TermProvenance(tile.form.name, tuple(sorted(simplex)), weight, sign, basic)
             )
-    from .sharbly import project_coinvariants
-
     coin = project_coinvariants(raw, odict)
     return CycleChain(n, raw, provenance, odict, coin, orders)
 
@@ -137,8 +132,6 @@ def _conjugate_negation(
     witness_rep: GroupElement, to_rep: GroupElement
 ) -> GroupElement:
     """Negation witness for a term, conjugated from the representative's."""
-    from .exactq import mat_mul_int
-
     inv = int_matrix_inverse(to_rep)
     return mat_mul_int(mat_mul_int(inv, witness_rep), to_rep)
 
@@ -253,14 +246,10 @@ def verify_an_remark(n: int) -> dict:
     For n = 4 this is a single nonzero class with coefficient of absolute
     value d = 10; for n = 2, 3 it is empty.
     """
-    from .voronoi import builtin_dataset, form_from_minvecs, tile_of
-
     entry = builtin_dataset(n)[0]
     tile = tile_of(form_from_minvecs(entry.vectors, entry.name))
     sign, basic = sharbly_of_cone(tile.ray_vectors)
     odict = OrbitDictionary()
-    from .sharbly import project_coinvariants
-
     boundary = boundary_basic(basic).scale(sign)
     proj = project_coinvariants(boundary, odict)
     report = {

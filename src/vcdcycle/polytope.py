@@ -13,9 +13,11 @@ Two objects are built once per configuration instance, and the rest is
 read off them.  The integer Gale dual K (ibid., Ch. 4-5) is a basis of the
 affine dependences of all the points, one row per label, of size the
 corank N - m - 1 (2 on the rank-5 facet F, however large the ambient
-dimension m).  It gives every simplex determinant, barycentric coordinate
-and circuit: the dependences on a label set S are K y for y in the kernel
-of the rows outside S.  The placing triangulation gives the hull volume
+dimension m).  It is read two ways, both on the rows K_O of the labels O
+outside a full simplex: det K_O gives the simplex's determinant, and
+adj(K_O) gives the dependence of the simplex and each point outside it,
+from which the regularity rows, the lifting inequalities and the flip
+circuits are all read.  The placing triangulation gives the hull volume
 and the hull facets, each a boundary ridge of it plus the points on the
 ridge's hyperplane.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -106,8 +108,8 @@ class PointConfiguration:
         triangulation spans its facet's hyperplane, and the facet's points
         are the points on it."""
         facets: list[frozenset] = []
-        for ridge in _boundary_faces(self._placing):
-            if not any(ridge <= f for f in facets):
+        for ridge, owners in _ridges(self._placing).items():
+            if len(owners) == 1 and not any(ridge <= f for f in facets):
                 on = {p for p in self.labels if p not in ridge and _side(self, ridge, p) == 0}
                 facets.append(ridge | on)
         return tuple(facets)
@@ -233,14 +235,14 @@ def _side(config: PointConfiguration, ridge: Iterable[int], apex: int) -> int:
 # hulls
 
 
-def _boundary_faces(triangulation: Triangulation) -> dict:
-    """Codimension-1 faces lying in exactly one simplex, with that simplex."""
-    count: dict[frozenset, list] = {}
+def _ridges(triangulation: Iterable[frozenset]) -> dict[frozenset, list]:
+    """Each codimension-1 face of the simplices, with the simplices it lies
+    in; a boundary face lies in one."""
+    owners: dict[frozenset, list] = {}
     for s in triangulation:
         for v in s:
-            f = s - {v}
-            count.setdefault(f, []).append(s)
-    return {f: ss[0] for f, ss in count.items() if len(ss) == 1}
+            owners.setdefault(s - {v}, []).append(s)
+    return owners
 
 
 def placing_triangulation(
@@ -268,11 +270,12 @@ def placing_triangulation(
         if i in used:
             continue
         used.add(i)
-        boundary = _boundary_faces(frozenset(tri))
         new_simplices = []
-        for face, parent in boundary.items():
-            apex = next(iter(parent - face))
-            # strictly visible: i and the parent's apex on opposite sides
+        for face, owners in _ridges(frozenset(tri)).items():
+            if len(owners) != 1:
+                continue
+            apex = next(iter(owners[0] - face))
+            # strictly visible: i and the owning simplex's apex on opposite sides
             if _side(config, face, i) * _side(config, face, apex) < 0:
                 new_simplices.append(face | {i})
         tri.update(new_simplices)
@@ -350,13 +353,15 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
 # regularity
 
 
-def _barycentric(config: PointConfiguration, simplex: Iterable[int]) -> dict:
-    """The affine coordinates, with respect to a full simplex, of each point
-    outside it: {point label: {simplex label: coordinate}}, points ascending.
+def _simplex_dependences(config: PointConfiguration, simplex: Iterable[int]) -> dict:
+    """The integer affine dependence of a full simplex and each point w
+    outside it: {w: (det, {simplex label l: c_l})}, points ascending, with
+    det * (1, p_w) + sum_l c_l * (1, p_l) = 0 and det != 0.
 
-    With O the complement of the simplex and x a point's column of
-    adj(K_O), the dependence K x is det(K_O) at the point and 0 on the rest
-    of O, so it relates the point to the simplex alone.
+    With O the complement of the simplex and x w's column of adj(K_O), the
+    dependence K x is det(K_O) at w and 0 on the rest of O, so it relates w
+    to the simplex alone: c_l = K_l . x.  The affine coordinates of p_w are
+    -c_l / det.
     """
     labels, others, _ = _split(config, simplex)
     gale = config._gale
@@ -367,7 +372,7 @@ def _barycentric(config: PointConfiguration, simplex: Iterable[int]) -> dict:
     except ValueError:  # det(K_O) = 0: the simplex is degenerate
         raise DegenerateConfiguration("degenerate simplex in triangulation") from None
     return {
-        w: {l: Q(-sum(map(mul, gale.rows[l], x)), det) for l in labels}
+        w: (det, {l: sum(map(mul, gale.rows[l], x)) for l in labels})
         for w, x in zip(others, zip(*adj))
     }
 
@@ -385,11 +390,11 @@ def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHei
     rows = []
     rhs = []
     for s in tri:
-        for w, lam in _barycentric(config, s).items():
+        for w, (det, dep) in _simplex_dependences(config, s).items():
             row = [0] * nlab
             row[w] = 1
-            for l, c in lam.items():
-                row[l] -= c
+            for l, c in dep.items():
+                row[l] = Q(c, det)
             rows.append(row)
             rhs.append(1)
     if not rows:  # a single simplex: any heights work
@@ -413,26 +418,11 @@ def _circuit(labels: Sequence[int], coeffs: Sequence) -> Circuit:
     return Circuit(frozenset(labels), pos, neg, dep)
 
 
-def _dependences(config: PointConfiguration, labels: Iterable[int]) -> list[tuple[int, ...]]:
-    """A basis of the affine dependences supported on a label set, as
-    integer coefficient vectors over all the labels.
-
-    They are K y for the Gale dual's rows K and y in the kernel of the rows
-    of the set's complement; every y is scaled to integers first.
-    """
-    _require_full_dim(config)
-    rows = config._gale.rows
-    inside = set(labels)
-    outside = [rows[t] for t in config.labels if t not in inside]
-    if not outside:  # every dependence: the columns of K
-        return list(zip(*rows))
-    return [tuple(sum(map(mul, r, y)) for r in rows) for y in int_rows(nullspace(outside))]
-
-
 def affine_dependence(config: PointConfiguration) -> Circuit:
     """The circuit of a full-dimensional configuration with exactly one
     affine dependence, which involves every point."""
-    deps = _dependences(config, config.labels)
+    _require_full_dim(config)
+    deps = list(zip(*config._gale.rows))  # every dependence: the columns of K
     if len(deps) == 0:
         raise ValueError("points are affinely independent")
     if len(deps) > 1:
@@ -447,18 +437,6 @@ def gkz_two_triangulations(z: Circuit):
     t_plus = frozenset(frozenset(z.labels - {w}) for w in z.positive_part)
     t_minus = frozenset(frozenset(z.labels - {w}) for w in z.negative_part)
     return t_plus, t_minus
-
-
-def _circuit_of(config: PointConfiguration, labels: Iterable[int]) -> Optional[Circuit]:
-    """The unique circuit inside a label set with a 1-dim dependence space:
-    the set's dependence restricted to its support."""
-    deps = _dependences(config, labels)
-    if len(deps) != 1:
-        return None
-    support = [(l, c) for l, c in enumerate(deps[0]) if c != 0]
-    if len(support) < 3:
-        return None
-    return _circuit(*zip(*support))
 
 
 def _flip_from_circuit(tri: Triangulation, z: Circuit) -> Optional[Flip]:
@@ -497,32 +475,31 @@ def supported_flips(config: PointConfiguration, triangulation) -> list[Flip]:
 
     A flip on a circuit whose cells share one link is a triangulation by
     construction (De Loera, Rambau, Santos, *Triangulations*, Ch. 4), so
-    no result is re-checked.  The candidates are the circuits of the
-    interior walls' label sets, then of each simplex plus one point, one
-    circuit per label set.  Flips that
-    tie in the sort keep this order, which `_regular_flip_search` explores:
-    both flips from the D5 facet's T1 remove all 16 simplices.
+    no result is re-checked.  The candidates are the circuits of each
+    simplex plus one point outside it: the support of their dependence,
+    read off one adjugate per simplex.  Flips that tie in the sort keep
+    the candidate order, which `_regular_flip_search` explores: both flips
+    from the D5 facet's T1 remove all 16 simplices.
     """
     tri = frozenset(frozenset(s) for s in triangulation)
-    circuit = cache(partial(_circuit_of, config))  # for this call only
+    deps = {s: _simplex_dependences(config, s) for s in tri}
     candidates: dict[frozenset, Circuit] = {}
 
-    wall_owner: dict[frozenset, list] = {}
-    for s in tri:
-        for v in s:
-            wall_owner.setdefault(s - {v}, []).append(s)
-    for wall, owners in wall_owner.items():
+    def add(s: frozenset, w: int) -> None:
+        det, dep = deps[s][w]
+        support = sorted([w] + [l for l, c in dep.items() if c])
+        if frozenset(support) not in candidates:
+            coeffs = [det if l == w else dep[l] for l in support]
+            candidates[frozenset(support)] = _circuit(support, coeffs)
+
+    # An interior wall s|t is s plus the apex of t, a candidate the loop
+    # after it meets too: the walls come first only to fix the tie order.
+    for wall, owners in _ridges(tri).items():
         if len(owners) == 2:
-            z = circuit(owners[0] | owners[1])
-            if z is not None:
-                candidates[z.labels] = z
+            add(owners[0], next(iter(owners[1] - wall)))
     for s in tri:
-        for w in config.labels:
-            if w in s:
-                continue
-            z = circuit(s | {w})
-            if z is not None and w in z.labels:
-                candidates.setdefault(z.labels, z)
+        for w in deps[s]:
+            add(s, w)
 
     flips = []
     seen = set()

@@ -18,7 +18,7 @@ from . import data
 from . import polytope as pt
 from . import voronoi as vr
 from .cosharbly import epsilon, is_flipon, mu_sign_certificate, section_affine_dim, section_rays
-from .exactq import int_det, int_rank, mat_mul_int
+from .exactq import int_det, int_matrix_inverse, int_rank, mat_mul_int
 from .sharbly import AntisymSum, SharblyChain, ZERO, boundary, canonicalize
 
 
@@ -42,8 +42,6 @@ _TI = ((1, -1), (0, 1))
 
 def sl2_conjugator(target, base, cap: int = 200000):
     """Some u in SL_2(Z) with u base u^-1 = target or u base^-1 u^-1 = target."""
-    from .exactq import int_matrix_inverse
-
     base_inv = int_matrix_inverse(base)
     ident = ((1, 0), (0, 1))
     seen = {ident}

@@ -17,12 +17,13 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .certs import SCHEMA_VERSION
 from .cycle import BoundaryCertificate, CycleChain, TermProvenance
 from .exactq import q_parse, q_str
 from .polytope import verify_flip_identity
 from .sharbly import BasicSharbly, OrbitDictionary, SharblyChain, canonicalize, project_coinvariants
 from .voronoi import tile_facets
+
+SCHEMA_VERSION = 1
 
 
 def chain_to_json(chain: SharblyChain) -> list:

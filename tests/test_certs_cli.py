@@ -631,6 +631,18 @@ def _sum_of_two_facets(payload):
     _recount(payload)
 
 
+def _repeat_a_facet(payload):
+    payload["facets"].append(copy.deepcopy(payload["facets"][0]))
+    _recount(payload)
+
+
+def _repeat_a_facet_reversed(payload):
+    f = copy.deepcopy(payload["facets"][0])
+    f["labels"].reverse()
+    payload["facets"].append(f)
+    _recount(payload)
+
+
 def _keep_too_few_rays(payload):
     # d - 1 rays span a hyperplane at most: no tile is that thin
     n = len(payload["rays"][0])
@@ -650,6 +662,8 @@ def _keep_too_few_rays(payload):
     (_lengthen_a_ray, "a ray whose length is not {n}"),
     (_shorten_a_ray, "a ray whose length is not {n}"),
     (_sum_of_two_facets, "facet is not of codimension one"),
+    (_repeat_a_facet, "facet listed twice"),
+    (_repeat_a_facet_reversed, "facet listed twice"),
     (_keep_too_few_rays, "rays do not span"),
 ])
 def test_cli_cert_check_rejects_a_mutated_census(tmp_path, capsys, census_cert, mutate, message):

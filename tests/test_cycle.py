@@ -34,7 +34,7 @@ def test_build_z4_places_the_d4_tile_once(monkeypatch):
         calls.append(len(config))
         return placing(config, *args, **kwargs)
 
-    monkeypatch.setattr(pt, "placing_triangulation", counting)
+    monkeypatch.setattr(cy, "placing_triangulation", counting)
     cy.default_triangulation.cache_clear()
     first, second = cy.build_zG(4), cy.build_zG(4)
     assert calls == [12]

@@ -1,6 +1,7 @@
-"""The Gale-dual determinants and barycentric coordinates of `polytope`
+"""The Gale-dual determinants and simplex dependences of `polytope`
 against the primal computations they replaced, kept here as oracles: a
-Bareiss determinant of the simplex's own points and a `Fraction` solve."""
+Bareiss determinant of the simplex's own points and a `Fraction` solve for
+the barycentric coordinates -c_l / det of each point outside a simplex."""
 
 import itertools
 import random
@@ -41,7 +42,8 @@ def assert_agrees(config, simplices):
     """Exact agreement of the three functions on each simplex (a set of
     m + 1 labels), each ridge in it with each apex outside the ridge, and
     each point outside it.  On a degenerate simplex the solve may find some
-    solution, where `_barycentric` raises, as its callers never ask."""
+    solution, where `_simplex_dependences` raises, as its callers never
+    ask."""
     for s in simplices:
         s = frozenset(s)
         det = pt._simplex_det(config, s)
@@ -53,13 +55,13 @@ def assert_agrees(config, simplices):
                     assert pt._side(config, ridge, apex) == oracle_side(config, ridge, apex)
         if not det:
             with pytest.raises(pt.DegenerateConfiguration):
-                pt._barycentric(config, s)
+                pt._simplex_dependences(config, s)
             continue
-        got = pt._barycentric(config, s)
+        got = pt._simplex_dependences(config, s)
         assert list(got) == [w for w in config.labels if w not in s]
-        for w, lam in got.items():
-            assert lam == oracle_barycentric(config, s, w)
-            assert all(type(c) is Fraction for c in lam.values())
+        for w, (d, dep) in got.items():
+            assert d != 0 and all(type(c) is int for c in dep.values())
+            assert {l: Fraction(-c, d) for l, c in dep.items()} == oracle_barycentric(config, s, w)
 
 
 def _random_config(rng, dim, corank):
@@ -134,7 +136,7 @@ def test_a_configuration_that_is_not_full_dimensional():
     for s in itertools.combinations(config.labels, 3):
         assert pt._simplex_det(config, s) == oracle_simplex_det(config, s) == 0
         with pytest.raises(pt.DegenerateConfiguration):
-            pt._barycentric(config, s)
+            pt._simplex_dependences(config, s)
     with pytest.raises(pt.DegenerateConfiguration):
         pt.placing_triangulation(config)
 
@@ -150,7 +152,7 @@ def test_a_simplex_of_the_wrong_size():
             fn(config, [0, 1, 2], 3)
     for s in ([0, 1], [0, 1, 2, 3]):
         with pytest.raises(ValueError):
-            pt._barycentric(config, s)
+            pt._simplex_dependences(config, s)
 
 
 def test_labels_that_are_no_simplex_raise():
@@ -159,7 +161,7 @@ def test_labels_that_are_no_simplex_raise():
         with pytest.raises(ValueError):
             pt._simplex_det(config, s)
         with pytest.raises(ValueError):
-            pt._barycentric(config, s)
+            pt._simplex_dependences(config, s)
 
 
 def test_the_dual_is_cached_per_instance():

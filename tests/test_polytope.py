@@ -472,10 +472,31 @@ def test_flip_searches_match_the_separate_searches(seed):
 # supported_flips against the loop with one circuit per wall and per (s, w)
 
 
-def oracle_supported_flips(config, triangulation):
-    """`supported_flips` as it was: one `_circuit_of` per interior wall and
-    per (simplex, point outside it), in the same candidate order."""
-    tri = frozenset(frozenset(s) for s in triangulation)
+def primal_dependences(config, labels):
+    """The affine dependences of the points of a label set, by a nullspace
+    of their homogenized coordinates: (sorted labels, kernel basis)."""
+    sel = sorted(labels)
+    pts = config._int_points
+    return sel, nullspace(list(zip(*((1,) + pts[i] for i in sel))))
+
+
+def oracle_circuit_of(config, labels):
+    """The unique circuit in a label set with a 1-dim dependence space, or
+    None: the primal nullspace of the set, then the primal nullspace of the
+    support of its dependence."""
+    sel, kernel = primal_dependences(config, labels)
+    if len(kernel) != 1:
+        return None
+    support = [sel[i] for i, c in enumerate(kernel[0]) if c != 0]
+    if len(support) < 3:
+        return None
+    sel, (dep,) = primal_dependences(config, support)
+    return pt._circuit(sel, dep)
+
+
+def _oracle_candidates(config, tri):
+    """The circuits of each interior wall's label set, then of each simplex
+    plus one point, one per label set, in that order."""
     candidates = {}
     wall_owner = {}
     for s in tri:
@@ -483,19 +504,27 @@ def oracle_supported_flips(config, triangulation):
             wall_owner.setdefault(s - {v}, []).append(s)
     for owners in wall_owner.values():
         if len(owners) == 2:
-            z = pt._circuit_of(config, owners[0] | owners[1])
+            z = oracle_circuit_of(config, owners[0] | owners[1])
             if z is not None:
                 candidates[z.labels] = z
     for s in tri:
         for w in config.labels:
             if w in s:
                 continue
-            z = pt._circuit_of(config, set(s) | {w})
+            z = oracle_circuit_of(config, set(s) | {w})
             if z is not None and w in z.labels:
                 candidates.setdefault(z.labels, z)
+    return candidates
+
+
+def oracle_supported_flips(config, triangulation):
+    """`supported_flips` as it was: one primal circuit per interior wall and
+    per (simplex, point outside it), in the same candidate order, and a
+    validity check of each flip."""
+    tri = frozenset(frozenset(s) for s in triangulation)
     flips = []
     seen = set()
-    for z in candidates.values():
+    for z in _oracle_candidates(config, tri).values():
         f = pt._flip_from_circuit(tri, z)
         if f is None or (f.removed, f.inserted) in seen:
             continue
@@ -533,101 +562,56 @@ def _flip_cases():
 
 
 @pytest.fixture
-def circuit_calls(monkeypatch):
-    """The label sets `_circuit_of` is called on, in call order."""
-    calls = []
-    circuit_of = pt._circuit_of
+def considered(monkeypatch):
+    """The circuits `supported_flips` tries a flip on, in order."""
+    circuits = []
+    flip_from_circuit = pt._flip_from_circuit
 
-    def counting(config, labels):
-        calls.append(frozenset(labels))
-        return circuit_of(config, labels)
+    def recording(tri, z):
+        circuits.append(z)
+        return flip_from_circuit(tri, z)
 
-    monkeypatch.setattr(pt, "_circuit_of", counting)
-    return calls
+    monkeypatch.setattr(pt, "_flip_from_circuit", recording)
+    return circuits
 
 
-def test_supported_flips_match_the_per_candidate_loop(circuit_calls):
+def test_supported_flips_match_the_per_candidate_loop(considered):
     for name, config, tri in _flip_cases():
-        circuit_calls.clear()
+        considered.clear()
         flips = pt.supported_flips(config, tri)
-        once = list(circuit_calls)
-        circuit_calls.clear()
+        labels = [z.labels for z in considered]
         assert flips == oracle_supported_flips(config, tri), name
-        assert len(once) == len(set(once)) and set(once) == set(circuit_calls), name
+        assert len(labels) == len(set(labels)), name
+        assert set(labels) == set(_oracle_candidates(config, tri)), name
 
 
-def test_supported_flips_compute_a_circuit_once_per_label_set(circuit_calls):
+def test_supported_flips_circuits_match_the_primal_nullspace_version(considered):
+    checked = 0
+    for name, config, tri in _flip_cases():
+        considered.clear()
+        pt.supported_flips(config, tri)
+        for z in considered:
+            assert z == oracle_circuit_of(config, z.labels), (name, sorted(z.labels))
+        checked += len(considered)
+    assert checked > 100
+
+
+def test_supported_flips_take_one_adjugate_per_simplex_and_no_nullspace(monkeypatch):
     config, t1, _ = _d5_facet_f()
+    pt._require_full_dim(config)  # builds the Gale dual before the counted calls
+    calls = {"nullspace": 0, "int_det_adjugate": 0}
+    for fn in calls:
+        def counting(*args, _fn=getattr(pt, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(pt, fn, counting)
     flips = pt.supported_flips(config, t1)
-    assert len(circuit_calls) == 8
+    assert calls == {"nullspace": 0, "int_det_adjugate": len(t1)} and len(t1) == 16
     assert [sorted(f.circuit.labels) for f in flips] == [
         [0, 1, 5, 6, 9, 10, 12, 13],
         [1, 2, 3, 5, 7, 9, 12, 15],
     ]
-    circuit_calls.clear()
-    oracle_supported_flips(config, t1)
-    assert len(circuit_calls) == 80
-
-
-def primal_dependences(config, labels):
-    """The affine dependences of the points of a label set, by a nullspace
-    of their homogenized coordinates: (sorted labels, kernel basis)."""
-    sel = sorted(labels)
-    pts = config._int_points
-    return sel, nullspace(list(zip(*((1,) + pts[i] for i in sel))))
-
-
-def oracle_circuit_of(config, labels):
-    """`_circuit_of` as it was: the primal nullspace of the set, then the
-    primal nullspace of the support of its dependence."""
-    sel, kernel = primal_dependences(config, labels)
-    if len(kernel) != 1:
-        return None
-    support = [sel[i] for i, c in enumerate(kernel[0]) if c != 0]
-    if len(support) < 3:
-        return None
-    sel, (dep,) = primal_dependences(config, support)
-    return pt._circuit(sel, dep)
-
-
-def test_circuit_of_matches_the_primal_nullspace_version(monkeypatch):
-    """Same circuits, and the only elimination is the kernel of the Gale
-    rows outside the set (none for the whole configuration)."""
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return nullspace(m)
-
-    monkeypatch.setattr(pt, "nullspace", counting)
-    label_sets = 0
-    for name, config, tri in _flip_cases():
-        pt._require_full_dim(config)  # builds the Gale dual before the counted calls
-        sets = {s | {w} for s in tri for w in config.labels if w not in s}
-        sets |= {s | t for s in tri for t in tri if len(s & t) == len(s) - 1}
-        sets.add(frozenset(config.labels))
-        for labels in sets:
-            calls.clear()
-            z = pt._circuit_of(config, labels)
-            outside = [config._gale.rows[t] for t in config.labels if t not in labels]
-            assert calls == ([outside] if outside else []), name
-            assert z == oracle_circuit_of(config, labels), (name, sorted(labels))
-            label_sets += z is not None
-    assert label_sets > 100
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_circuit_of_matches_the_primal_version_on_random_sets(seed):
-    rng = random.Random(seed)
-    checked = 0
-    for config in _random_configs(seed, 40):
-        n = len(config)
-        for _ in range(40):
-            labels = rng.sample(range(n), rng.randint(1, n))
-            z = pt._circuit_of(config, labels)
-            assert z == oracle_circuit_of(config, labels), (config.points, labels)
-            checked += z is not None
-    assert checked > 150
 
 
 def test_affine_dependence_matches_the_primal_version():

@@ -12,7 +12,7 @@ from vcdcycle import polytope as pt
 from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import int_rank
 
-from test_polytope import dd_hull_facets
+from test_polytope import dd_hull_facets, oracle_circuit_of
 
 
 def _proper_pair_lp(config, s1, s2) -> bool:
@@ -73,7 +73,7 @@ def _raw_flip_neighbours(config, tri):
     out = []
     for k in range(3, config.ambient_dim + 3):
         for labels in itertools.combinations(config.labels, k):
-            z = pt._circuit_of(config, labels)
+            z = oracle_circuit_of(config, labels)
             if z is None or z.labels != frozenset(labels):
                 continue
             f = pt._flip_from_circuit(tri, z)
@@ -207,7 +207,7 @@ def test_each_ridge_condition_rejects(points, tri, defect):
 
 def test_t_junction_point_lies_on_the_cut():
     config = pt.PointConfiguration.from_points(T_JUNCTION[0])
-    z = pt._circuit_of(config, [1, 3, 4])  # 4 is the midpoint of 13
+    z = oracle_circuit_of(config, [1, 3, 4])  # 4 is the midpoint of 13
     assert z.positive_part == frozenset({1, 3}) and z.negative_part == frozenset({4})
 
 
