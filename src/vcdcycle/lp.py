@@ -1,8 +1,11 @@
 """Exact rational linear programming (dense two-phase simplex).
 
-Small feasibility problems only: the regularity witnesses of
-triangulations (`feasible_ge`).  Triangulation validity needs no LP; see
-`polytope.is_valid_triangulation`.
+Small feasibility problems only.  Every regularity verdict is one
+`simplex_max` with a zero objective on integer data: Gordan's alternative
+on the Gale rows of a triangulation (`polytope.nonregularity_witness`).
+`feasible_ge` solves the primal lifting LP, which only writes the heights
+of `triangulate`'s certificate (`polytope.is_regular`).  Triangulation
+validity needs no LP; see `polytope.is_valid_triangulation`.
 
 The tableau is integer (Edmonds' integer-preserving simplex).  The
 rational input is scaled by one common positive denominator, and every

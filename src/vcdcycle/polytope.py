@@ -1,10 +1,11 @@
 """Exact combinatorics of rational point configurations.
 
-Placing triangulations, convex hull facets, regularity witnesses, circuits
-with their sign partitions, bistellar flips, and the antisymmetrized gluing
-identities that relate a flip to the difference of the two triangulations
-it connects.  All geometry is exact: validity is decided by integer
-orientation signs, and regularity comes with rational witnesses.  A
+Placing triangulations, convex hull facets, regularity verdicts and
+witnesses, circuits with their sign partitions, bistellar flips, and the
+antisymmetrized gluing identities that relate a flip to the difference of
+the two triangulations it connects.  All geometry is exact: validity is
+decided by integer orientation signs, and regularity by Gordan's
+alternative on the Gale rows, with an integer witness when it fails.  A
 configuration's points are distinct, so its labels name them one to one;
 circuits, flips and their identities are stated on labels (De Loera,
 Rambau, Santos, *Triangulations*, Ch. 4).
@@ -16,10 +17,16 @@ corank N - m - 1 (2 on the rank-5 facet F, however large the ambient
 dimension m).  It is read two ways, both on the rows K_O of the labels O
 outside a full simplex: det K_O gives the simplex's determinant, and
 adj(K_O) gives the dependence of the simplex and each point outside it,
-from which the regularity rows, the lifting inequalities and the flip
-circuits are all read.  The placing triangulation gives the hull volume
-and the hull facets, each a boundary ridge of it plus the points on the
-ridge's hyperplane.
+from which the lifting inequalities and the flip circuits are read.  The
+columns of adj(K_O), signed by det K_O, over the simplices of a
+triangulation T are its Gale rows X_T: T is regular exactly when
+X_T psi > 0 for some psi, and by Gordan's alternative exactly when no
+y >= 0, y != 0 has X_T^T y = 0, an LP of corank + 1 integer rows
+(`nonregularity_witness`, which gives every verdict).  The primal
+lifting LP, one row per simplex and outside point (`is_regular`), only
+writes the heights of `triangulate`'s certificate.  The placing
+triangulation gives the hull volume and the hull facets, each a boundary
+ridge of it plus the points on the ridge's hyperplane.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -353,6 +360,23 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
 # regularity
 
 
+def _simplex_adjugate(
+    config: PointConfiguration, simplex: Iterable[int]
+) -> tuple[list, list, int, list]:
+    """(S, O, det K_O, adj(K_O)) for a full simplex S with complement O, both
+    ascending: the one elimination per simplex that its dependences and its
+    Gale rows are read off.  DegenerateConfiguration when det K_O = 0."""
+    labels, others, _ = _split(config, simplex)
+    gale = config._gale
+    if gale is None:
+        raise DegenerateConfiguration("degenerate simplex in triangulation")
+    try:
+        det, adj = int_det_adjugate([gale.rows[o] for o in others])
+    except ValueError:  # det(K_O) = 0: the simplex is degenerate
+        raise DegenerateConfiguration("degenerate simplex in triangulation") from None
+    return labels, others, det, adj
+
+
 def _simplex_dependences(config: PointConfiguration, simplex: Iterable[int]) -> dict:
     """The integer affine dependence of a full simplex and each point w
     outside it: {w: (det, {simplex label l: c_l})}, points ascending, with
@@ -363,18 +387,53 @@ def _simplex_dependences(config: PointConfiguration, simplex: Iterable[int]) -> 
     to the simplex alone: c_l = K_l . x.  The affine coordinates of p_w are
     -c_l / det.
     """
-    labels, others, _ = _split(config, simplex)
-    gale = config._gale
-    if gale is None:
-        raise DegenerateConfiguration("degenerate simplex in triangulation")
-    try:
-        det, adj = int_det_adjugate([gale.rows[o] for o in others])
-    except ValueError:  # det(K_O) = 0: the simplex is degenerate
-        raise DegenerateConfiguration("degenerate simplex in triangulation") from None
+    labels, others, det, adj = _simplex_adjugate(config, simplex)
+    rows = config._gale.rows
     return {
-        w: (det, {l: sum(map(mul, gale.rows[l], x)) for l in labels})
+        w: (det, {l: sum(map(mul, rows[l], x)) for l in labels})
         for w, x in zip(others, zip(*adj))
     }
+
+
+def _gale_rows(config: PointConfiguration, triangulation) -> list[tuple[int, ...]]:
+    """X_T: the distinct rows sign(det K_O) * x_w over the simplices of the
+    triangulation and the points w outside each, x_w w's column of adj(K_O),
+    every row divided by its positive content, sorted.
+
+    The lifting inequality of a simplex and w, (K x_w) . h / det K_O > 0
+    (`_simplex_dependences`), reads sign(det K_O) * x_w . psi > 0 with
+    psi = K^T h.  K has full column rank, so psi ranges over all of Q^c as
+    the heights h do: T is regular exactly when X_T psi > 0 for some psi.
+    """
+    rows = set()
+    for s in triangulation:
+        _, _, det, adj = _simplex_adjugate(config, s)
+        sign = 1 if det > 0 else -1
+        for x in zip(*adj):
+            g = gcd(*x)
+            rows.add(tuple(sign * v // g for v in x))
+    return sorted(rows)
+
+
+def nonregularity_witness(config: PointConfiguration, triangulation) -> Optional[dict]:
+    """None when the triangulation is regular; otherwise a Gordan vector,
+    {row of X_T: y_row} over all of `_gale_rows`, with integers y >= 0, not
+    all 0, and sum_row y_row * row = 0.
+
+    The triangulation is assumed valid (`is_valid_triangulation`).  By
+    Gordan's alternative, some psi has X_T psi > 0 exactly when no such y
+    exists (Gelfand, Kapranov, Zelevinsky, Ch. 7; De Loera, Rambau, Santos,
+    *Triangulations*, Ch. 5).  The LP asks for y >= 0 with X_T^T y = 0 and
+    sum y = 1: corank + 1 integer rows, one column per distinct Gale row.
+    """
+    rows = _gale_rows(config, triangulation)
+    if not rows:  # a single simplex: regular
+        return None
+    a_eq = [*zip(*rows), [1] * len(rows)]
+    status, _, y = lp.simplex_max([0] * len(rows), a_eq, [0] * len(rows[0]) + [1])
+    if status == lp.INFEASIBLE:
+        return None
+    return dict(zip(rows, _clear_row(y)))
 
 
 def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHeights]:
@@ -383,7 +442,10 @@ def is_regular(config: PointConfiguration, triangulation) -> Optional[LiftingHei
     The triangulation is assumed valid (`is_valid_triangulation`); the
     answer on any other set of simplices means nothing.  The witness lifts
     every point strictly above the affine span of every lifted simplex it
-    does not belong to (scaled to a margin of 1).
+    does not belong to (scaled to a margin of 1).  This primal LP, one row
+    per (simplex, outside point), only writes the heights of `triangulate`'s
+    certificate and is the tests' oracle; every verdict comes from Gordan's
+    alternative on the Gale rows (`nonregularity_witness`).
     """
     tri = [frozenset(s) for s in triangulation]
     nlab = len(config.points)
@@ -545,7 +607,7 @@ def _regular_flip_search(
     triangulation is queued, and once more than `budget` are known, the
     start included, BudgetExceeded is raised: a caller that stops at the
     yield never meets that test.  Keys in `proven` name triangulations the
-    caller has already shown regular; their LP is not run again.
+    caller has already shown regular; their verdict is not taken again.
     """
     start_key = _canon_tri(start)
     seen = {start_key}
@@ -557,7 +619,7 @@ def _regular_flip_search(
             nkey = _canon_tri(nxt)
             if nkey in seen:
                 continue
-            if nkey not in proven and is_regular(config, nxt) is None:
+            if nkey not in proven and nonregularity_witness(config, nxt) is not None:
                 continue
             seen.add(nkey)
             yield nkey, nxt, key, f
@@ -592,7 +654,7 @@ def flip_path(
     for t in (t1, t2):
         if not is_valid_triangulation(config, t):
             raise ValueError("endpoint is not a valid triangulation")
-        if is_regular(config, t) is None:
+        if nonregularity_witness(config, t) is not None:
             raise ValueError("endpoint triangulation is not regular")
     if t1 == t2:
         return []

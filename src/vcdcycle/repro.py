@@ -128,7 +128,7 @@ def criterion_3() -> dict:
     config, orig = vr.section_configuration(tile)
     tri = frozenset(frozenset(s) for s in data.D4_TRIANGULATION)
     tri_valid = pt.is_valid_triangulation(config, tri)
-    regular_witness = pt.is_regular(config, tri)
+    regular = pt.nonregularity_witness(config, tri) is None
     z = cy.build_zG(4)
     seventeen = len(z.provenance) == 17
     cert = cy.verify_boundary_zero(z)
@@ -138,7 +138,7 @@ def criterion_3() -> dict:
         "tile_orbits": len(entries),
         "d4_rays": len(tile.ray_vectors),
         "triangulation_valid": tri_valid,
-        "triangulation_regular": regular_witness is not None,
+        "triangulation_regular": regular,
         "terms": len(z.provenance),
         "certificate_valid": cert.valid,
         "stabilizer_orders": dict(z.stabilizer_orders),
@@ -187,8 +187,8 @@ def criterion_5(budget: int = 10000) -> dict:
         geom.config, t2
     )
     regular = (
-        pt.is_regular(geom.config, t1) is not None
-        and pt.is_regular(geom.config, t2) is not None
+        pt.nonregularity_witness(geom.config, t1) is None
+        and pt.nonregularity_witness(geom.config, t2) is None
     )
     all_tris = pt.enumerate_regular_triangulations(geom.config, budget=budget)
     three = len(all_tris) == 3 and any(t == t1 for t in all_tris) and any(

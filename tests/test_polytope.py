@@ -353,17 +353,25 @@ def test_project_to_affine_span_matches_the_per_point_solve(seed):
 
 def test_flip_path_proves_the_target_regular_once(monkeypatch):
     calls = []
+    primal = []
+    verdict = pt.nonregularity_witness
     is_regular = pt.is_regular
 
     def counting(config, tri):
         calls.append(tri)
+        return verdict(config, tri)
+
+    def primal_counting(config, tri):
+        primal.append(tri)
         return is_regular(config, tri)
 
-    monkeypatch.setattr(pt, "is_regular", counting)
+    monkeypatch.setattr(pt, "nonregularity_witness", counting)
+    monkeypatch.setattr(pt, "is_regular", primal_counting)
     config, t1, t2 = _d5_facet_f()
     path = pt.flip_path(config, t1, t2)
     assert [sorted(f.circuit.labels) for f in path] == [[0, 1, 5, 6, 9, 10, 12, 13]]
     assert calls == [t1, t2]
+    assert primal == []
 
 
 # ---------------------------------------------------------------------------
