@@ -73,7 +73,7 @@ def _tile(args) -> vr.Tile:
 
 
 def cmd_forms_list(args) -> int:
-    ranks = [args.n] if args.n else sorted(data.FORMS)
+    ranks = [args.n] if args.n is not None else sorted(data.FORMS)
     docs = []
     for n in ranks:
         for entry in vr.builtin_dataset(n):

@@ -129,12 +129,11 @@ def cone_facets(generators: Sequence[Sequence[int]]) -> list[tuple[frozenset[int
     The cone must be full-dimensional and pointed.  Returns, per facet, the
     set of generator indices it contains and the primitive inward normal
     (a functional nonnegative on all generators, zero exactly on the facet).
+    The set is the normal's tight mask from `extreme_rays`.
     """
-    gens = [tuple(g) for g in generators]
-    rays = extreme_rays(gens)
-    facets = []
-    for normal, _ in rays:
-        tight = frozenset(i for i, g in enumerate(gens) if _dot(normal, g) == 0)
-        facets.append((tight, normal))
+    facets = [
+        (frozenset(i for i in range(len(generators)) if mask >> i & 1), normal)
+        for normal, mask in extreme_rays(generators)
+    ]
     facets.sort(key=lambda f: sorted(f[0]))
     return facets

@@ -430,8 +430,8 @@ def nonregularity_witness(config: PointConfiguration, triangulation) -> Optional
     if not rows:  # a single simplex: regular
         return None
     a_eq = [*zip(*rows), [1] * len(rows)]
-    status, _, y = lp.simplex_max([0] * len(rows), a_eq, [0] * len(rows[0]) + [1])
-    if status == lp.INFEASIBLE:
+    y = lp.simplex_max(a_eq, [0] * len(rows[0]) + [1])
+    if y is None:
         return None
     return dict(zip(rows, _clear_row(y)))
 
@@ -608,18 +608,21 @@ def _regular_flip_search(
     start included, BudgetExceeded is raised: a caller that stops at the
     yield never meets that test.  Keys in `proven` name triangulations the
     caller has already shown regular; their verdict is not taken again.
+    Each other key gets at most one verdict: a rejected key is remembered.
     """
     start_key = _canon_tri(start)
     seen = {start_key}
+    rejected = set()
     queue = deque([(start_key, start)])
     while queue:
         key, cur = queue.popleft()
         for f in supported_flips(config, cur):
             nxt = (cur - f.removed) | f.inserted
             nkey = _canon_tri(nxt)
-            if nkey in seen:
+            if nkey in seen or nkey in rejected:
                 continue
             if nkey not in proven and nonregularity_witness(config, nxt) is not None:
+                rejected.add(nkey)
                 continue
             seen.add(nkey)
             yield nkey, nxt, key, f

@@ -112,6 +112,14 @@ def test_cli_forms_and_stabilizer(capsys):
     assert "order 6" in out
 
 
+def test_cli_forms_list_rank_zero_is_an_input_error(capsys):
+    # --n 0 names a rank with no data; it is not the same as no --n
+    assert cli.main(["forms", "list", "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no built-in data for rank 0" in captured.err
+
+
 def test_cli_tile_facets_census(capsys, tmp_path):
     cert = tmp_path / "census.json"
     assert cli.main(["tile", "facets", "--form", "A3", "--cert", str(cert)]) == 0

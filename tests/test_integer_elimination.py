@@ -2,8 +2,10 @@
 replaced, kept here as oracles: Gauss-Jordan over Q for `solve` and
 `nullspace`, and the two-phase `Fraction` simplex with Bland's rule for
 `simplex_max` and `feasible_ge`.  Results must be equal, not just
-equivalent: the reduced row echelon form is unique, and the integer simplex
-must make the same pivots."""
+equivalent: the reduced row echelon form is unique, and the integer
+phase-1 simplex must make the same pivots and return the same vertex as
+the oracle's two phases at a zero objective, where its artificial
+drive-out and phase 2 do not move the vertex."""
 
 import random
 from fractions import Fraction as Q
@@ -74,9 +76,13 @@ def oracle_nullspace(m):
     return basis
 
 
+OPTIMAL, UNBOUNDED, INFEASIBLE = "optimal", "unbounded", "infeasible"
+
+
 class FractionSimplex:
-    """Dense two-phase simplex over Fraction, Bland's rule.  Records the
-    sign of every artificial drive-out pivot in `drive_out_signs`."""
+    """Dense two-phase simplex over Fraction, Bland's rule: max c.x with
+    A x = b, x >= 0, as (status, value, x).  Records the sign of every
+    artificial drive-out pivot in `drive_out_signs`."""
 
     def __init__(self):
         self.drive_out_signs = []
@@ -96,7 +102,7 @@ class FractionSimplex:
         while True:
             enter = next((j for j in range(ncols) if tab[obj][j] < 0), None)
             if enter is None:
-                return lp.OPTIMAL
+                return OPTIMAL
             leave = best = None
             for i in range(obj):
                 if tab[i][enter] > 0:
@@ -106,7 +112,7 @@ class FractionSimplex:
                     ):
                         best, leave = ratio, i
             if leave is None:
-                return lp.UNBOUNDED
+                return UNBOUNDED
             self._pivot(tab, basis, leave, enter)
 
     def simplex_max(self, c, a_eq, b_eq):
@@ -127,7 +133,7 @@ class FractionSimplex:
         tab.append(objrow)
         self._simplex(tab, basis, ncols)
         if tab[-1][ncols] != 0:
-            return lp.INFEASIBLE, None, None
+            return INFEASIBLE, None, None
         for i in range(m):
             if basis[i] >= n:
                 for j in range(n):
@@ -144,12 +150,12 @@ class FractionSimplex:
                 f = obj[bv]
                 obj = [x - f * y for x, y in zip(obj, tab2[i])]
         tab2.append(obj)
-        if self._simplex(tab2, basis2, n) == lp.UNBOUNDED:
-            return lp.UNBOUNDED, None, None
+        if self._simplex(tab2, basis2, n) == UNBOUNDED:
+            return UNBOUNDED, None, None
         x = [Q(0)] * n
         for i, bv in enumerate(basis2):
             x[bv] = tab2[i][n]
-        return lp.OPTIMAL, sum(Q(ci) * xi for ci, xi in zip(c, x)), tuple(x)
+        return OPTIMAL, sum(Q(ci) * xi for ci, xi in zip(c, x)), tuple(x)
 
     def feasible_ge(self, a_ge, b):
         m = len(a_ge)
@@ -161,7 +167,7 @@ class FractionSimplex:
             for i, row in enumerate(a_ge)
         ]
         status, _, sol = self.simplex_max([0] * (2 * n + m), a_eq, b)
-        if status != lp.OPTIMAL:
+        if status != OPTIMAL:
             return None
         return tuple(sol[j] - sol[n + j] for j in range(n))
 
@@ -242,34 +248,43 @@ def _lp(rng, redundant):
         s = Q(rng.choice([-3, -2, -1, 1, 2]), rng.choice([1, 2]))
         a[-1] = [s * x for x in a[k]]
         b[-1] = s * b[k]
-    c = [_rational(rng) for _ in range(n)]
-    return c, a, b
+    return a, b
+
+
+def _oracle_x(oracle, a, b):
+    """The oracle's x at a zero objective, or None when it is infeasible."""
+    status, _, x = oracle.simplex_max([0] * len(a[0]), a, b)
+    assert status != UNBOUNDED
+    return None if status == INFEASIBLE else x
 
 
 @pytest.mark.parametrize("seed", [21, 22])
 def test_simplex_matches_fraction_simplex(seed):
     rng = random.Random(seed)
     oracle = FractionSimplex()
-    statuses = {}
+    feasible = infeasible = 0
     for t in range(400):
-        c, a, b = _lp(rng, redundant=t % 2 == 0)
-        got = lp.simplex_max(c, a, b)
-        assert got == oracle.simplex_max(c, a, b), (c, a, b)
-        statuses[got[0]] = statuses.get(got[0], 0) + 1
+        a, b = _lp(rng, redundant=t % 2 == 0)
+        got = lp.simplex_max(a, b)
+        assert got == _oracle_x(oracle, a, b), (a, b)
+        if got is None:
+            infeasible += 1
+        else:
+            feasible += 1
+            assert min(got) >= 0
+            assert all(sum(Q(r) * x for r, x in zip(row, got)) == v for row, v in zip(a, b))
         a_ge = _matrix(rng, rng.randint(1, 5), rng.randint(1, 4))
         b_ge = [_rational(rng) for _ in a_ge]
         assert lp.feasible_ge(a_ge, b_ge) == oracle.feasible_ge(a_ge, b_ge), (a_ge, b_ge)
-    assert min(statuses.get(s, 0) for s in (lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE)) >= 40
-    # the artificial drive-out ran, with negative pivots among its pivots
+    assert feasible >= 40 and infeasible >= 40, (feasible, infeasible)
+    # the oracle's artificial drive-out ran, with negative pivots among its
+    # pivots: exactly the cases the phase-1 routine skips
     assert True in oracle.drive_out_signs and False in oracle.drive_out_signs
 
 
-def test_simplex_rational_objective_value():
-    c = [Q(1, 3), Q(-2, 5), Q(7, 2)]
+def test_simplex_rational_data():
     a = [[Q(1, 2), 1, Q(2, 3)], [1, Q(-1, 4), 1]]
     b = [Q(5, 6), Q(3, 7)]
-    got = lp.simplex_max(c, a, b)
-    assert got == FractionSimplex().simplex_max(c, a, b)
-    status, value, x = got
-    assert status == lp.OPTIMAL and all(type(v) is Q for v in x)
-    assert value == sum(ci * xi for ci, xi in zip(c, x))
+    got = lp.simplex_max(a, b)
+    assert got == _oracle_x(FractionSimplex(), a, b)
+    assert all(type(v) is Q for v in got)

@@ -1,11 +1,13 @@
 """Byte-for-byte pins of the rank-4 cycle, its two certificates and the D4
-stabilizer, of the D5 facet F triangulation and flip-identity outputs, and
-of the D5 facet census.  The rank-4 digests are those of the outputs before
-the equivalence search became one integer pass; the D5 facet F ones those
-before the flip identities were keyed on point labels; the census ones
-those before the certificate builders moved into `serialize`.  A change to the search, the elimination or the
-serialization that alters any output byte fails here, so a new output
-needs a deliberate new pin."""
+stabilizer, of the D5 facet F triangulation and flip-identity outputs, of
+the D4 tile triangulation with its heights, and of the D5 facet census.
+The rank-4 digests are those of the outputs before the equivalence search
+became one integer pass; the D5 facet F ones those before the flip
+identities were keyed on point labels; the D4 tile ones those before the
+simplex lost its objective and phase 2; the census ones those before the
+certificate builders moved into `serialize`.  A change to the search, the
+elimination or the serialization that alters any output byte fails here,
+so a new output needs a deliberate new pin."""
 
 import hashlib
 import json
@@ -63,6 +65,24 @@ def test_d5_facet_triangulation_and_flip_certificates_are_pinned(tmp_path):
     for argv in runs:
         assert cli.main(argv) == 0, argv
     assert {name: _sha256(tmp_path / name) for name in D5_PINNED} == D5_PINNED
+
+
+D4_PINNED = {
+    "triangulation-cert.json": "c9f31fabd35041e728a7814e46b76c00fcab978be6c907bc65a9e2799f4de82b",
+    "triangulation.json": "6d7814fd80c9746e5d5638eadfb38afab640478e720a93bea4c120fbafe12696",
+}
+
+
+def test_d4_tile_triangulation_and_heights_are_pinned(tmp_path):
+    """The whole D4 tile: 16 simplices whose heights solve a primal lifting
+    LP of 32 rows, the one heights LP besides D5 F's."""
+    argv = ["triangulate", "--form", "D4",
+            "--out", str(tmp_path / "triangulation.json"),
+            "--cert", str(tmp_path / "triangulation-cert.json")]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "triangulation.json").read_text())
+    assert len(doc["simplices"]) == 16
+    assert {name: _sha256(tmp_path / name) for name in D4_PINNED} == D4_PINNED
 
 
 CENSUS_PINNED = {

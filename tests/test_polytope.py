@@ -7,6 +7,7 @@ import pytest
 from vcdcycle import cycle as cy
 from vcdcycle import data
 from vcdcycle import polytope as pt
+from vcdcycle import repro
 from vcdcycle import voronoi as vr
 from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import (
@@ -372,6 +373,42 @@ def test_flip_path_proves_the_target_regular_once(monkeypatch):
     assert [sorted(f.circuit.labels) for f in path] == [[0, 1, 5, 6, 9, 10, 12, 13]]
     assert calls == [t1, t2]
     assert primal == []
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_each_flip_search_asks_one_verdict_per_triangulation(monkeypatch, seed):
+    """Criterion 6's flip searches reach some non-regular triangulations
+    from more than one regular neighbour; each gets one verdict per search."""
+    searches = []
+    active = []
+    search = pt._regular_flip_search
+    verdict = pt.nonregularity_witness
+
+    def recording_search(*args, **kwargs):
+        inner = search(*args, **kwargs)
+        asked = []
+        searches.append(asked)
+        while True:
+            active.append(asked)  # only while the search itself runs
+            try:
+                item = next(inner)
+            except StopIteration:
+                return
+            finally:
+                active.pop()
+            yield item
+
+    def recording(config, tri):
+        if active:
+            active[-1].append(pt._canon_tri(tri))
+        return verdict(config, tri)
+
+    monkeypatch.setattr(pt, "_regular_flip_search", recording_search)
+    monkeypatch.setattr(pt, "nonregularity_witness", recording)
+    assert repro.criterion_6(seed)["ok"]
+    assert sum(map(len, searches)) >= 90
+    for asked in searches:
+        assert len(asked) == len(set(asked))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from test_polytope import dd_hull_facets, oracle_circuit_of
 def _proper_pair_lp(config, s1, s2) -> bool:
     """True when conv(s1) and conv(s2) meet in conv(s1 & s2).
 
-    Maximizes the weight that a common point puts on the labels of s1
-    outside s1 & s2; the simplices meet properly exactly when it is 0.
+    They do not exactly when some common point of the hulls puts positive
+    weight on the labels of s1 outside s1 & s2: when lambda, mu >= 0 with
+    sum lambda_i p_i = sum mu_j p_j, sum lambda = sum mu, and weight 1 on
+    those labels is feasible (every constraint but the last is homogeneous).
     """
     pts = config._int_points
     common = s1 & s2
@@ -28,14 +30,10 @@ def _proper_pair_lp(config, s1, s2) -> bool:
         [Q(pts[i][c]) for i in a1] + [Q(-pts[j][c]) for j in a2]
         for c in range(config.ambient_dim)
     ]
-    rows.append([Q(1)] * len(a1) + [Q(0)] * len(a2))
-    rows.append([Q(0)] * len(a1) + [Q(1)] * len(a2))
-    rhs = [Q(0)] * config.ambient_dim + [Q(1), Q(1)]
-    objective = [Q(0) if i in common else Q(1) for i in a1] + [Q(0)] * len(a2)
-    status, value, _ = lp.simplex_max(objective, rows, rhs)
-    if status == lp.INFEASIBLE:
-        return True  # hulls disjoint
-    return status == lp.OPTIMAL and value == 0
+    rows.append([Q(1)] * len(a1) + [Q(-1)] * len(a2))
+    rows.append([Q(0) if i in common else Q(1) for i in a1] + [Q(0)] * len(a2))
+    rhs = [Q(0)] * (config.ambient_dim + 1) + [Q(1)]
+    return lp.simplex_max(rows, rhs) is None
 
 
 def lifted_hull_volume(config) -> int:

@@ -88,6 +88,22 @@ def test_tile_facets_small():
     assert len(a3) == 6 and all(len(f) == 5 for f, _ in a3)
 
 
+@pytest.mark.parametrize("name, count", [
+    ("A2", 3), ("A3", 6), ("A4", 10), ("D4", 64), ("A5", 15), ("D5", 400),
+])
+def test_tile_facet_sets_are_the_rays_each_functional_kills(name, count):
+    """The facet sets, read off the DD tight masks, against the pairing of
+    every functional with every ray."""
+    tile = vr.builtin_tile(name)
+    gens = [pairing_row(v) for v in tile.ray_vectors]
+    facets = vr.tile_facets(tile)
+    assert len(facets) == count
+    for labels, normal in facets:
+        values = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        assert min(values) == 0
+        assert labels == frozenset(i for i, v in enumerate(values) if v == 0)
+
+
 def test_tile_facets_d4_all_simplicial():
     facets = vr.tile_facets(vr.builtin_tile("D4"))
     assert all(len(f) == 9 for f, _ in facets)
