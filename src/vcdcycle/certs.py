@@ -5,7 +5,14 @@ witness needed to re-validate the claim by plain arithmetic.  The builders
 that write each kind are in `serialize`; `check_certificate` never repeats
 a search: it re-verifies witness matrices, cancellation sums, lifting
 inequalities, orientation signs and tightness conditions against the data
-embedded in the file.
+embedded in the file.  Every integer is read strictly, as `serialize`
+reads it: 0.5 or "1" is malformed, not truncated.
+
+A triangulation is checked from its heights, with no hull computed: strict
+lifting inequalities make each listed simplex a cell of the heights'
+regular subdivision T_h, and with no point strictly across a ridge of one
+listed simplex, a nonempty list is all of T_h, whose dual graph is
+connected (De Loera, Rambau, Santos, *Triangulations*, Ch. 2 and 4).
 
 A census certificate is checked on one base elimination: the rays must
 span, each functional must be nonnegative on every ray and tight exactly
@@ -30,15 +37,13 @@ from .exactq import (
     q_parse,
 )
 from .polytope import (
-    PointConfiguration,
-    _simplex_dependences,
-    _simplex_det,
-    circuit_link_sum,
-    hull_volume_scaled,
-    oriented_difference,
-    simplex_orientation,
+    DegenerateConfiguration, PointConfiguration, _ridge_defect, _simplex_dependences,
+    circuit_link_sum, oriented_difference, simplex_orientation,
 )
-from .serialize import SCHEMA_VERSION, points_from_json, triangulation_from_json
+from .serialize import (
+    SCHEMA_VERSION, _int_vectors, _is_int, _labels, chain_from_json, points_from_json,
+    triangulation_from_json,
+)
 from .sharbly import BasicSharbly, SharblyChain, ZERO, act, boundary
 
 
@@ -60,58 +65,54 @@ def check_certificate(cert: dict) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _vectors(item) -> tuple:
-    return tuple(tuple(int(x) for x in v) for v in item)
-
-
-def _matrix(item) -> tuple:
-    return tuple(tuple(int(x) for x in r) for r in item)
+def _int(x, what: str) -> int:
+    if not _is_int(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def _check_boundary(payload: dict) -> tuple[bool, str]:
-    n = int(payload["n"])
-    chain = SharblyChain()
-    for item in payload["chain"]:
-        chain.add_symbol(_vectors(item["vectors"]), q_parse(item["coeff"]))
+    n = _int(payload["n"], "n")
+    chain = chain_from_json(payload["chain"])
     terms = payload["terms"]
     accumulated = SharblyChain()
     for t in terms:
-        accumulated.add(BasicSharbly(n, _vectors(t["vectors"])), q_parse(t["coeff"]))
+        accumulated.add(BasicSharbly(n, tuple(_int_vectors(t["vectors"]))), q_parse(t["coeff"]))
     if boundary(chain) != accumulated:
         return False, "terms do not sum to the boundary of the chain"
 
-    by_id = {int(t["id"]): t for t in terms}
+    by_id = dict(zip(_labels([t["id"] for t in terms], "term ids"), terms))
     if sorted(by_id) != list(range(len(terms))):
         return False, "term ids are not contiguous"
     covered: set[int] = set()
 
-    for a, b in payload["interior_pairs"]:
-        ta, tb = by_id[int(a)], by_id[int(b)]
+    for pair in payload["interior_pairs"]:
+        a, b = _labels(pair, "an interior pair")
+        ta, tb = by_id[a], by_id[b]
         if ta["vectors"] != tb["vectors"]:
             return False, "interior pair on different faces"
         if q_parse(ta["coeff"]) + q_parse(tb["coeff"]) != 0:
             return False, "interior pair does not cancel"
-        if int(a) in covered or int(b) in covered:
+        if a in covered or b in covered:
             return False, "term accounted twice"
-        covered.update((int(a), int(b)))
+        covered.update((a, b))
 
     for account in payload["accounts"]:
-        rep = BasicSharbly(n, _vectors(account["rep"]))
+        rep = BasicSharbly(n, tuple(_int_vectors(account["rep"])))
         kind = account["kind"]
         if kind == "self-negating":
-            w = _matrix(account["witness"])
-            if not _negates(w, rep):
+            if not _negates(_int_vectors(account["witness"]), rep):
                 return False, "class witness does not negate the representative"
         total = Q(0)
         for member in account["members"]:
-            tid = int(member["id"])
+            tid = _int(member["id"], "a member id")
             if tid in covered:
                 return False, "term accounted twice"
             covered.add(tid)
             t = by_id[tid]
-            basic = BasicSharbly(n, _vectors(t["vectors"]))
-            g = _matrix(member["to_rep"])
-            sign = int(member["sign"])
+            basic = BasicSharbly(n, tuple(_int_vectors(t["vectors"])))
+            g = _int_vectors(member["to_rep"])
+            sign = _int(member["sign"], "a member sign")
             if int_det(g) != 1:
                 return False, "witness is not in SL_n(Z)"
             res = act(g, basic)
@@ -122,8 +123,7 @@ def _check_boundary(payload: dict) -> tuple[bool, str]:
                 return False, "member contribution mismatch"
             total += contrib
             if kind == "self-negating":
-                sw = _matrix(member["self_witness"])
-                if not _negates(sw, basic):
+                if not _negates(_int_vectors(member["self_witness"]), basic):
                     return False, "self witness does not negate the term"
         if kind == "zero-sum" and total != 0:
             return False, "account does not sum to zero"
@@ -146,15 +146,15 @@ def _negates(g, basic: BasicSharbly) -> bool:
 def _check_positivity(payload: dict) -> tuple[bool, str]:
     positives = 0
     for item in payload["verdicts"]:
-        n = len(item["rep"][0])
-        rep = BasicSharbly(n, _vectors(item["rep"]))
+        vectors = tuple(_int_vectors(item["rep"]))
+        rep = BasicSharbly(len(vectors[0]), vectors)
         coeff = q_parse(item["coeff"])
         if is_flipon(rep):
             if item["verdict"] != "flipon":
                 return False, "degenerate term not marked as flipon"
             continue
-        sign = epsilon(section_rays(rep), n)
-        if sign != int(item["sign"]):
+        sign = epsilon(section_rays(rep), rep.n)
+        if sign != _int(item["sign"], "a verdict sign"):
             return False, "orientation sign mismatch"
         if coeff * sign > 0:
             if item["verdict"] != "proper-positive":
@@ -179,33 +179,36 @@ def _check_triangulation(payload: dict) -> tuple[bool, str]:
     if names - keys:
         return False, f"no height for point {min(names - keys, key=int)}"
     heights = {int(k): q_parse(v) for k, v in payload["heights"].items()}
-    total = 0
+    if not tri:
+        return False, "triangulation has no simplex"
+    try:
+        deps = {s: _simplex_dependences(config, s) for s in tri}
+    except DegenerateConfiguration:
+        return False, "degenerate simplex"
     for s in tri:
-        d = _simplex_det(config, s)
-        if d == 0:
-            return False, "degenerate simplex"
-        total += abs(d)
         # h_w above the lifted simplex at p_w: h_w > sum_l (-c_l / det) h_l
-        for w, (det, dep) in _simplex_dependences(config, s).items():
+        for w, (det, dep) in deps[s].items():
             if (det * heights[w] + sum(c * heights[l] for l, c in dep.items())) * det <= 0:
                 return False, "height witness violates a lifting inequality"
-    if total != hull_volume_scaled(config):
-        return False, "simplex volumes do not sum to the hull volume"
+    defect = _ridge_defect(tri, deps)  # only an unshared ridge can fail here
+    if defect:
+        return False, defect
     return True, "triangulation certificate valid"
 
 
 def _check_flip_identity(payload: dict) -> tuple[bool, str]:
     config = PointConfiguration.from_points(points_from_json(payload["points"]))
     for flip_entry in payload["flips"]:
-        circuit = [int(x) for x in flip_entry["circuit"]]
+        circuit = _labels(flip_entry["circuit"], "a circuit")
         for entry in flip_entry["links"]:
-            link = [int(x) for x in entry["link"]]
-            e = int(entry["e"])
+            link = _labels(entry["link"], "a link")
+            e = _int(entry["e"], "an identity sign")
             if e not in (1, -1):
                 return False, "identity sign must be +-1"
             sides = []
             for side in ("removed", "inserted"):
-                listed = [([int(l) for l in s["labels"]], int(s["orientation"]))
+                listed = [(list(_labels(s["labels"], "simplex labels")),
+                           _int(s["orientation"], "an orientation"))
                           for s in entry[side]]
                 for labels, o in listed:
                     # the orientation is that of the labels in ascending order
@@ -220,7 +223,7 @@ def _check_flip_identity(payload: dict) -> tuple[bool, str]:
 
 
 def _check_census(payload: dict) -> tuple[bool, str]:
-    vectors = _vectors(payload["rays"])
+    vectors = _int_vectors(payload["rays"])
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         return False, f"a ray whose length is not {n}"
@@ -233,14 +236,14 @@ def _check_census(payload: dict) -> tuple[bool, str]:
     sizes: dict[str, int] = {}
     listed: set[tuple] = set()
     for f in facets:
-        functional = tuple(int(x) for x in f["functional"])
+        functional = _int_vectors([f["functional"]])[0]
         if len(functional) != d:
             return False, f"a functional whose length is not {d}"
         values = [sum(map(mul, row, functional)) for row in rows]
         if min(values) < 0:
             return False, "functional negative on a ray"
         tight = [i for i, val in enumerate(values) if val == 0]
-        if tight != sorted(int(x) for x in f["labels"]):
+        if tight != sorted(_labels(f["labels"], "facet labels")):
             return False, "tight set mismatch"
         if tuple(tight) in listed:
             return False, "facet listed twice"

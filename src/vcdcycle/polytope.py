@@ -1,6 +1,6 @@
 """Exact combinatorics of rational point configurations.
 
-Placing triangulations, convex hull facets, regularity verdicts and
+Placing triangulations, validity checks, regularity verdicts and
 witnesses, circuits with their sign partitions, bistellar flips, and the
 antisymmetrized gluing identities that relate a flip to the difference of
 the two triangulations it connects.  All geometry is exact: validity is
@@ -17,16 +17,18 @@ corank N - m - 1 (2 on the rank-5 facet F, however large the ambient
 dimension m).  It is read two ways, both on the rows K_O of the labels O
 outside a full simplex: det K_O gives the simplex's determinant, and
 adj(K_O) gives the dependence of the simplex and each point outside it,
-from which the lifting inequalities and the flip circuits are read.  The
-columns of adj(K_O), signed by det K_O, over the simplices of a
+from which the lifting inequalities, the flip circuits and every side
+test are read (w is strictly across the ridge S - {a} from a exactly when
+its barycentric coordinate lambda_a(w) < 0).  The columns of adj(K_O),
+signed by det K_O, over the simplices of a
 triangulation T are its Gale rows X_T: T is regular exactly when
 X_T psi > 0 for some psi, and by Gordan's alternative exactly when no
 y >= 0, y != 0 has X_T^T y = 0, an LP of corank + 1 integer rows
 (`nonregularity_witness`, which gives every verdict).  The primal
 lifting LP, one row per simplex and outside point (`is_regular`), only
 writes the heights of `triangulate`'s certificate.  The placing
-triangulation gives the hull volume and the hull facets, each a boundary
-ridge of it plus the points on the ridge's hyperplane.
+triangulation gives the hull volume; no hull facet is listed, as a ridge
+lies on the hull exactly when no point is strictly across it.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ class PointConfiguration:
     def __len__(self) -> int:
         return len(self.points)
 
-    # The Gale dual, the placing triangulation and the hull data read off
+    # The Gale dual, the placing triangulation and the hull volume read off
     # it are cached on the instance, never in a module-level cache keyed on
-    # the points: a certificate checker must recompute them from the
-    # certificate's own points, even in the process that wrote it.
+    # the points: a certificate checker must recompute the Gale dual from
+    # the certificate's own points, even in the process that wrote it.
 
     @cached_property
     def _int_points(self) -> tuple[tuple[int, ...], ...]:
@@ -108,18 +110,6 @@ class PointConfiguration:
     @cached_property
     def _hull_volume(self) -> int:
         return sum(abs(_simplex_det(self, s)) for s in self._placing)
-
-    @cached_property
-    def _hull_facet_labels(self) -> tuple[frozenset, ...]:
-        """The label sets of the hull facets: a boundary ridge of the placing
-        triangulation spans its facet's hyperplane, and the facet's points
-        are the points on it."""
-        facets: list[frozenset] = []
-        for ridge, owners in _ridges(self._placing).items():
-            if len(owners) == 1 and not any(ridge <= f for f in facets):
-                on = {p for p in self.labels if p not in ridge and _side(self, ridge, p) == 0}
-                facets.append(ridge | on)
-        return tuple(facets)
 
 
 @dataclass(frozen=True)
@@ -224,20 +214,6 @@ def simplex_orientation(config: PointConfiguration, simplex: Iterable[int]) -> i
     return (d > 0) - (d < 0)
 
 
-def _side(config: PointConfiguration, ridge: Iterable[int], apex: int) -> int:
-    """The orientation predicate: the sign of det[(1, p_r) ... (1, p_apex)]
-    over r in sorted(ridge), then apex.
-
-    For a ridge of m affinely independent points it tells which side of the
-    ridge's hyperplane the apex lies on; 0 means on it.
-    """
-    ridge = list(ridge)
-    d = _simplex_det(config, ridge + [apex])
-    if sum(1 for r in ridge if r > apex) % 2:  # apex's row moves past them
-        d = -d
-    return (d > 0) - (d < 0)
-
-
 # ---------------------------------------------------------------------------
 # hulls
 
@@ -273,17 +249,22 @@ def placing_triangulation(
 
     tri = {frozenset(initial)}
     used = set(initial)
+    deps: dict[frozenset, dict] = {}  # simplex -> _simplex_dependences
     for i in order:
         if i in used:
             continue
         used.add(i)
         new_simplices = []
-        for face, owners in _ridges(frozenset(tri)).items():
+        for face, owners in _ridges(tri).items():
             if len(owners) != 1:
                 continue
-            apex = next(iter(owners[0] - face))
-            # strictly visible: i and the owning simplex's apex on opposite sides
-            if _side(config, face, i) * _side(config, face, apex) < 0:
+            s = owners[0]
+            if s not in deps:
+                deps[s] = _simplex_dependences(config, s)
+            # strictly visible: i across the face from the apex a of s,
+            # lambda_a(i) = -dep[a] / det < 0
+            det, dep = deps[s][i]
+            if dep[next(iter(s - face))] * det > 0:
                 new_simplices.append(face | {i})
         tri.update(new_simplices)
     return frozenset(tri)
@@ -303,19 +284,19 @@ def hull_volume_scaled(config: PointConfiguration) -> int:
 
 def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
     """Exact validity by the interior-ridge characterization (De Loera,
-    Rambau, Santos, *Triangulations*, 2010, Ch. 4).
+    Rambau, Santos, *Triangulations*, 2010, Ch. 2 and 4).
 
     A nonempty set of distinct full-dimensional simplices on the labels of a
     full-dimensional configuration triangulates its hull exactly when
     1. the simplex volumes sum to the hull volume;
     2. every ridge (codimension-1 label set) lies in at most two simplices;
     3. a ridge in two simplices strictly separates their apexes;
-    4. a ridge in one simplex lies in a facet of the hull.
+    4. no point lies strictly across a ridge in one simplex from its apex,
+       so the ridge lies in a facet of the hull.
     By 2-4 the number of simplices over a generic point of the hull does
-    not change across any ridge, so it is constant; by 1 it is one.  Ridges
-    of one simplex that end inside the hull (T-junctions) fail 4.  Sides
-    come from the orientation predicate `_side`, read off each simplex's
-    own determinant.
+    not change across any ridge, so it is constant; by 1 it is one (the
+    cube's two five-tetrahedron triangulations together fail only 1).
+    Ridges of one simplex that end inside the hull (T-junctions) fail 4.
     """
     try:
         _require_full_dim(config)
@@ -327,7 +308,6 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
     m = config.ambient_dim
     labels = set(config.labels)
     volume = 0
-    sides: dict[frozenset, list[int]] = {}  # ridge -> side of each apex
     for s in tri:
         if len(s) != m + 1 or not s <= labels:
             return False
@@ -335,25 +315,28 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
         if d == 0:
             return False
         volume += abs(d)
-        sign = 1 if d > 0 else -1
-        for apex in s:
-            # _side(config, s - {apex}, apex): _simplex_det is the determinant
-            # of the rows (1, p) in label order, and moving apex's row last
-            # passes one row per larger label.
-            larger = sum(1 for r in s if r > apex)
-            sides.setdefault(s - {apex}, []).append(-sign if larger % 2 else sign)
     if volume != hull_volume_scaled(config):
         return False
-    facets = config._hull_facet_labels
-    for ridge, ss in sides.items():
-        if len(ss) > 2:
-            return False
-        if len(ss) == 2:
-            if ss[0] == ss[1]:
-                return False
-        elif not any(ridge <= f for f in facets):
-            return False
-    return True
+    return _ridge_defect(tri, {s: _simplex_dependences(config, s) for s in tri}) is None
+
+
+def _ridge_defect(triangulation, deps: dict) -> Optional[str]:
+    """The first ridge condition 2-4 of `is_valid_triangulation` that the
+    simplices fail, or None; deps holds each one's `_simplex_dependences`.
+    w lies strictly across the ridge s - {a} from a exactly when its
+    coordinate lambda_a(w) = -dep[a] / det is negative."""
+    for ridge, owners in _ridges(triangulation).items():
+        if len(owners) > 2:
+            return "ridge in three simplices"
+        s = owners[0]
+        a = next(iter(s - ridge))
+        if len(owners) == 2:
+            det, dep = deps[s][next(iter(owners[1] - ridge))]
+            if dep[a] * det <= 0:
+                return "apexes on one side"
+        elif any(dep[a] * det > 0 for det, dep in deps[s].values()):
+            return "unshared ridge inside the hull"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,6 @@ def form_from_minvecs(vectors: Iterable[Sequence[int]], name: str = "") -> Perfe
     if sol is None:
         raise ValueError("no form takes equal values on the vectors")
     gram = tuple(tuple(r) for r in vec_sym(sol, n))
-    _ldl(gram)  # positive definiteness
     mv, attain = minimal_vectors(gram)
     if mv != 2 or set(attain) != {primitive_normalize(v) for v in vs}:
         raise ValueError("solved form is not perfect with the given vectors")

@@ -515,7 +515,6 @@ def _repeat_a_simplex_reordered(payload):
 
 
 TRIANGULATION_MUTANTS = [
-    (_drop_a_simplex, "simplex volumes do not sum to the hull volume"),
     (_height_for_99, "height key '99' names no point"),
     (_height_for_minus_1, "height key '-1' names no point"),
     (_height_under_an_alias, "height key '01' names no point"),
@@ -525,11 +524,13 @@ TRIANGULATION_MUTANTS = [
 ]
 
 
-# A3's facet is one simplex, with no lifting inequality to violate; the
-# circuit mutant is D5's.
+# A3's facet is one simplex, with no lifting inequality to violate and
+# nothing left once it is dropped; the circuit mutant is D5's.
 @pytest.mark.parametrize("form, mutate, message", [
     *(("A3", m, msg) for m, msg in TRIANGULATION_MUTANTS),
     *(("D5", m, msg) for m, msg in TRIANGULATION_MUTANTS),
+    ("A3", _drop_a_simplex, "triangulation has no simplex"),
+    ("D5", _drop_a_simplex, "unshared ridge inside the hull"),
     ("D5", _lower_a_height, "height witness violates a lifting inequality"),
     ("D5", _circuit_in_a_simplex, "degenerate simplex"),
 ])
@@ -817,3 +818,74 @@ def test_cli_triangulate_and_enumerate(tmp_path):
         )
         == 0
     )
+
+
+# ---------------------------------------------------------------------------
+# every integer of a payload is read strictly: each probe was once truncated
+# or parsed by int() and passed as valid
+
+
+def _replace_first(rows, old, new):
+    """Replace the first entry old of the integer rows with new."""
+    r, i = next((r, i) for r in rows for i, x in enumerate(r) if x == old)
+    r[i] = new
+
+
+def _member(payload):
+    return payload["accounts"][0]["members"][0]
+
+
+def _flip_link(payload):
+    return payload["flips"][0]["links"][0]
+
+
+def _stringify(item, key):
+    """item[key] as a string, or as a list of strings if it is a list."""
+    value = item[key]
+    item[key] = [str(x) for x in value] if isinstance(value, list) else str(value)
+
+
+STRICT_INTEGER_PROBES = {
+    "boundary term vector entry 1.25": (
+        "boundary", lambda p: _replace_first(p["terms"][0]["vectors"], 1, 1.25)),
+    "boundary member id 0.5": ("boundary", lambda p: _member(p).__setitem__("id", 0.5)),
+    "boundary string sign": ("boundary", lambda p: _stringify(_member(p), "sign")),
+    "boundary to_rep entry 1.9": (
+        "boundary", lambda p: _replace_first(_member(p)["to_rep"], 1, 1.9)),
+    "positivity string sign": ("positivity", lambda p: _stringify(p["verdicts"][0], "sign")),
+    "positivity rep entry 1.5": (
+        "positivity", lambda p: _replace_first(p["verdicts"][0]["rep"], 1, 1.5)),
+    "census functional entry 0.5": (
+        "census", lambda p: _replace_first([p["facets"][0]["functional"]], 0, 0.5)),
+    "census string labels": ("census", lambda p: _stringify(p["facets"][0], "labels")),
+    "census ray entry 0.5": ("census", lambda p: _replace_first(p["rays"], 0, 0.5)),
+    "flip string circuit label": ("flip-identity", lambda p: _stringify(p["flips"][0], "circuit")),
+    "flip float e": (
+        "flip-identity", lambda p: _flip_link(p).__setitem__("e", 1.0 * _flip_link(p)["e"])),
+    "flip string orientation": (
+        "flip-identity", lambda p: _stringify(_flip_link(p)["removed"][0], "orientation")),
+}
+
+
+@pytest.fixture(scope="module")
+def certs_by_kind(z2_cert, d5_flip_cert):
+    z = cy.build_zG(2)
+    a3 = ser.census_certificate(vr.builtin_tile("A3"))
+    positivity = ser.positivity_certificate(mu_sign_certificate(z), z)
+    return {"boundary": z2_cert, "positivity": positivity, "census": a3,
+            "flip-identity": d5_flip_cert}
+
+
+@pytest.mark.parametrize("kind, mutate", STRICT_INTEGER_PROBES.values(), ids=STRICT_INTEGER_PROBES)
+def test_cli_cert_check_reads_integers_strictly(tmp_path, capsys, certs_by_kind, kind, mutate):
+    original = certs_by_kind[kind]
+    assert certs.check_certificate(original)[0]
+    doc = copy.deepcopy(original)
+    mutate(doc["payload"])
+    ok, msg = certs.check_certificate(doc)
+    assert not ok and msg.startswith("malformed certificate: "), msg
+    cert = tmp_path / "probe.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["cert", "check", str(cert)]) == 1
+    assert capsys.readouterr().out == msg + "\n"

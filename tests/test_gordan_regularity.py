@@ -15,6 +15,8 @@ from vcdcycle import polytope as pt
 from vcdcycle import repro
 from vcdcycle.exactq import as_q
 
+from test_gale_dual import oracle_side
+
 
 def assert_verdict_matches_the_primal(config, tri):
     """Returns whether the triangulation is regular."""
@@ -95,7 +97,7 @@ def _place(config, tri, label):
     for ridge, owners in pt._ridges(tri).items():
         if len(owners) == 1:
             apex = next(iter(owners[0] - ridge))
-            if pt._side(config, ridge, label) * pt._side(config, ridge, apex) < 0:
+            if oracle_side(config, ridge, label) * oracle_side(config, ridge, apex) < 0:
                 out.add(ridge | {label})
     return frozenset(out)
 

@@ -47,7 +47,7 @@ def lift_triangulation(config, heights):
 
 def dd_hull_facets(config):
     """The hull facets' label sets by double description on the homogenized
-    points: the oracle for `_hull_facet_labels`."""
+    points: the oracle for the unshared-ridge test."""
     pt._require_full_dim(config)
     return {tight for tight, _ in cone_facets(pt._homog(config))}
 
@@ -70,27 +70,6 @@ DIAG_02 = frozenset({frozenset({0, 1, 2}), frozenset({0, 2, 3})})
 DIAG_13 = frozenset({frozenset({0, 1, 3}), frozenset({1, 2, 3})})
 
 
-def test_hull_facets_triangle_and_square():
-    assert set(triangle()._hull_facet_labels) == {
-        frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})
-    }
-    facets = square()._hull_facet_labels
-    assert len(facets) == 4
-    assert set(facets) == {frozenset({i, (i + 1) % 4}) for i in range(4)}
-    # a facet's label set takes every point on it: here the midpoint 4 of
-    # edge 01 (5 is the centre)
-    cfg = pt.PointConfiguration.from_points([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)])
-    assert set(cfg._hull_facet_labels) == {
-        frozenset({0, 1, 4}), frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 3})
-    }
-
-
-def test_hull_facets_rejects_degenerate():
-    cfg = pt.PointConfiguration.from_points([(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(pt.DegenerateConfiguration):
-        cfg._hull_facet_labels
-
-
 def _random_configs(seed, count, dims=(1, 2, 3, 4)):
     """Full-dimensional configurations of small integer points, often not in
     general position."""
@@ -107,13 +86,27 @@ def _random_configs(seed, count, dims=(1, 2, 3, 4)):
 
 
 def test_hull_facets_match_double_description():
+    """On every ridge s - {a} of a placing triangulation, the unshared-ridge
+    test (no point w with dep[a] * det > 0 in `_simplex_dependences`) says
+    "on the hull" exactly when the ridge lies in a hull facet, and so
+    exactly on the boundary ridges; these with the points on their
+    hyperplanes (dep[a] == 0) give every hull facet."""
     d5 = cy.facet_geometry(vr.builtin_tile("D5"), data.D5_FACET_F).config
     d4, _ = vr.section_configuration(vr.builtin_tile("D4"))
+    counts = []
     for config in [d5, d4] + _random_configs(7, 120):
-        facets = config._hull_facet_labels
-        assert len(set(facets)) == len(facets)
-        assert set(facets) == dd_hull_facets(config), config.points
-    assert len(d5._hull_facet_labels) == 68 and len(d4._hull_facet_labels) == 64
+        facets = dd_hull_facets(config)
+        found = set()
+        for ridge, owners in pt._ridges(config._placing).items():
+            a = next(iter(owners[0] - ridge))
+            deps = pt._simplex_dependences(config, owners[0]).items()
+            on_hull = not any(dep[a] * det > 0 for _, (det, dep) in deps)
+            assert on_hull == any(ridge <= f for f in facets) == (len(owners) == 1)
+            if on_hull:
+                found.add(ridge | {w for w, (_, dep) in deps if dep[a] == 0})
+        assert found == facets, config.points
+        counts.append(len(found))
+    assert counts[:2] == [68, 64]
 
 
 def test_affine_dependence_segment():

@@ -12,6 +12,7 @@ from vcdcycle import polytope as pt
 from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import int_rank
 
+from test_gale_dual import oracle_side
 from test_polytope import dd_hull_facets, oracle_circuit_of
 
 
@@ -146,11 +147,15 @@ def _violations(config, tri) -> set:
         if len(vs) > 2:
             out.add("ridge in three simplices")
         elif len(vs) == 2:
-            if pt._side(config, ridge, vs[0]) == pt._side(config, ridge, vs[1]):
+            if oracle_side(config, ridge, vs[0]) == oracle_side(config, ridge, vs[1]):
                 out.add("apexes on one side")
         elif not any(ridge <= f for f in facets):
             out.add("unshared ridge inside the hull")
     return out
+
+
+def _ridge_defect(config, tri):
+    return pt._ridge_defect(tri, {s: pt._simplex_dependences(config, s) for s in tri})
 
 
 def _tri(*simplices):
@@ -199,8 +204,30 @@ def test_each_ridge_condition_rejects(points, tri, defect):
     hull = lifted_hull_volume(config)
     assert sum(abs(pt._simplex_det(config, s)) for s in tri) == hull
     assert _violations(config, tri) == {defect}
+    assert _ridge_defect(config, tri) == defect
     assert not oracle_is_valid(config, tri, hull)
     assert not pt.is_valid_triangulation(config, tri)
+
+
+def _five_tetrahedra(corners):
+    """The cube's triangulation by the regular tetrahedron on four corners
+    (label 4x + 2y + z) and the four corner tetrahedra cut off by it."""
+    cut = [(v, v ^ 1, v ^ 2, v ^ 4) for v in range(8) if v not in corners]
+    return _tri(corners, *cut)
+
+
+def test_the_cube_double_cover_fails_only_the_volume():
+    config = pt.PointConfiguration.from_points(
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    )
+    even, odd = _five_tetrahedra((0, 3, 5, 6)), _five_tetrahedra((1, 2, 4, 7))
+    assert pt.is_valid_triangulation(config, even) and pt.is_valid_triangulation(config, odd)
+    both = even | odd
+    hull = lifted_hull_volume(config)
+    assert sum(abs(pt._simplex_det(config, s)) for s in both) == 2 * hull
+    assert _violations(config, both) == set() and _ridge_defect(config, both) is None
+    assert not oracle_is_valid(config, both, hull)
+    assert not pt.is_valid_triangulation(config, both)
 
 
 def test_t_junction_point_lies_on_the_cut():
@@ -216,8 +243,8 @@ def test_hull_is_cached_per_instance():
     assert pt.is_valid_triangulation(first, _tri((0, 1, 2), (0, 2, 3)))
     second = pt.PointConfiguration.from_points(points)
     assert second == first
-    assert "_hull_volume" in vars(first) and "_hull_facet_labels" in vars(first)
-    assert "_hull_volume" not in vars(second) and "_hull_facet_labels" not in vars(second)
+    assert "_hull_volume" in vars(first)
+    assert "_hull_volume" not in vars(second)
 
 
 def test_integer_points_are_cached_per_instance():

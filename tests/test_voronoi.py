@@ -69,6 +69,15 @@ def test_form_from_minvecs_rejects_nonspanning():
         vr.form_from_minvecs([(1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("vectors, message", [
+    ([(1, 0), (0, 1), (1, 2)], "form is not positive definite"),
+    ([(1, 0), (0, 1), (1, 0)], "rank-1 forms of the vectors do not span"),
+])
+def test_form_from_minvecs_error_messages(vectors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        vr.form_from_minvecs(vectors)
+
+
 def test_form_from_minvecs_rejects_non_perfect_sets():
     # spanning rank-1 forms, but extra shorter vectors appear
     with pytest.raises(ValueError):
