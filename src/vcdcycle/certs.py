@@ -14,6 +14,14 @@ regular subdivision T_h, and with no point strictly across a ridge of one
 listed simplex, a nonempty list is all of T_h, whose dual graph is
 connected (De Loera, Rambau, Santos, *Triangulations*, Ch. 2 and 4).
 
+A boundary certificate is checked in one pass over its ledger, each term
+parsed once.  An account's representative is canonicalized once, when it
+is first needed; each member's `to_rep`, each self-witness and the class
+witness are then checked by comparing the witness's sorted,
+primitive-normalized images and their sort parity with the representative
+(with the term itself for a self-witness), which needs no span test: a list
+equal to a canonical one spans.
+
 A census certificate is checked on one base elimination: the rays must
 span, each functional must be nonnegative on every ray and tight exactly
 on its facet's labels, no two facets may share their labels, and each
@@ -33,6 +41,7 @@ from .exactq import (
     int_det,
     int_det_adjugate,
     int_rank,
+    mat_vec_int,
     pairing_row,
     q_parse,
 )
@@ -44,7 +53,7 @@ from .serialize import (
     SCHEMA_VERSION, _int_vectors, _is_int, _labels, chain_from_json, points_from_json,
     triangulation_from_json,
 )
-from .sharbly import BasicSharbly, SharblyChain, ZERO, act, boundary
+from .sharbly import BasicSharbly, SharblyChain, boundary, canonicalize, sort_normalized
 
 
 def check_certificate(cert: dict) -> tuple[bool, str]:
@@ -75,23 +84,24 @@ def _check_boundary(payload: dict) -> tuple[bool, str]:
     n = _int(payload["n"], "n")
     chain = chain_from_json(payload["chain"])
     terms = payload["terms"]
+    parsed = [(tuple(_int_vectors(t["vectors"])), q_parse(t["coeff"])) for t in terms]
     accumulated = SharblyChain()
-    for t in terms:
-        accumulated.add(BasicSharbly(n, tuple(_int_vectors(t["vectors"]))), q_parse(t["coeff"]))
+    for vectors, coeff in parsed:
+        accumulated.add(BasicSharbly(n, vectors), coeff)
     if boundary(chain) != accumulated:
         return False, "terms do not sum to the boundary of the chain"
 
-    by_id = dict(zip(_labels([t["id"] for t in terms], "term ids"), terms))
+    by_id = dict(zip(_labels([t["id"] for t in terms], "term ids"), parsed))
     if sorted(by_id) != list(range(len(terms))):
         return False, "term ids are not contiguous"
     covered: set[int] = set()
 
     for pair in payload["interior_pairs"]:
         a, b = _labels(pair, "an interior pair")
-        ta, tb = by_id[a], by_id[b]
-        if ta["vectors"] != tb["vectors"]:
+        (va, ca), (vb, cb) = by_id[a], by_id[b]
+        if va != vb:
             return False, "interior pair on different faces"
-        if q_parse(ta["coeff"]) + q_parse(tb["coeff"]) != 0:
+        if ca + cb != 0:
             return False, "interior pair does not cancel"
         if a in covered or b in covered:
             return False, "term accounted twice"
@@ -99,9 +109,11 @@ def _check_boundary(payload: dict) -> tuple[bool, str]:
 
     for account in payload["accounts"]:
         rep = BasicSharbly(n, tuple(_int_vectors(account["rep"])))
+        canonical = None  # whether canonicalize(rep) == (1, rep), taken when first needed
         kind = account["kind"]
         if kind == "self-negating":
-            if not _negates(_int_vectors(account["witness"]), rep):
+            canonical = _is_canonical(rep)
+            if not (_negates(_int_vectors(account["witness"]), rep.vectors, n) and canonical):
                 return False, "class witness does not negate the representative"
         total = Q(0)
         for member in account["members"]:
@@ -109,21 +121,23 @@ def _check_boundary(payload: dict) -> tuple[bool, str]:
             if tid in covered:
                 return False, "term accounted twice"
             covered.add(tid)
-            t = by_id[tid]
-            basic = BasicSharbly(n, tuple(_int_vectors(t["vectors"])))
+            vectors, coeff = by_id[tid]
             g = _int_vectors(member["to_rep"])
             sign = _int(member["sign"], "a member sign")
             if int_det(g) != 1:
                 return False, "witness is not in SL_n(Z)"
-            res = act(g, basic)
-            if res is ZERO or res != (sign, rep):
+            image = _image(g, vectors, n)
+            if canonical is None:
+                canonical = _is_canonical(rep)
+            if not canonical or image != (sign, rep.vectors):
                 return False, "witness does not map the term to the representative"
             contrib = q_parse(member["contribution"])
-            if contrib != q_parse(t["coeff"]) * sign:
+            if contrib != coeff * sign:
                 return False, "member contribution mismatch"
             total += contrib
+            # the term now spans and its vectors lie on distinct lines, like rep
             if kind == "self-negating":
-                if not _negates(_int_vectors(member["self_witness"]), basic):
+                if not _negates(_int_vectors(member["self_witness"]), vectors, n):
                     return False, "self witness does not negate the term"
         if kind == "zero-sum" and total != 0:
             return False, "account does not sum to zero"
@@ -136,11 +150,27 @@ def _check_boundary(payload: dict) -> tuple[bool, str]:
     return True, "boundary certificate valid"
 
 
-def _negates(g, basic: BasicSharbly) -> bool:
-    if int_det(g) != 1:
+def _is_canonical(basic: BasicSharbly) -> bool:
+    """Whether the vectors are as `canonicalize` leaves them: primitive,
+    normalized, sorted, distinct, of length n, and spanning Q^n."""
+    try:
+        return canonicalize(basic.vectors, basic.n) == (1, basic)
+    except ValueError:  # a zero vector, or one of another length
         return False
-    res = act(g, basic)
-    return res is not ZERO and res == (-1, basic)
+
+
+def _image(g, vectors, n: int) -> tuple[int, tuple]:
+    """(sign, images): g's images of the vectors, primitively normalized and
+    sorted, with the sign of that sort.  Images equal to a canonical list
+    are distinct and span, so g.vectors is then sign times that list."""
+    return sort_normalized([mat_vec_int(g, v) for v in vectors], n)
+
+
+def _negates(g, vectors: tuple, n: int) -> bool:
+    """g in SL_n(Z) with g.vectors = -vectors, for vectors that span and lie
+    on distinct lines (the images then equal them only if they are
+    canonical)."""
+    return int_det(g) == 1 and _image(g, vectors, n) == (-1, vectors)
 
 
 def _check_positivity(payload: dict) -> tuple[bool, str]:
@@ -252,7 +282,9 @@ def _check_census(payload: dict) -> tuple[bool, str]:
             return False, "facet is not of codimension one"
         sizes[str(len(tight))] = sizes.get(str(len(tight)), 0) + 1
     counts = payload["counts"]
-    if counts.get("total") != len(facets) or counts.get("by_rays") != sizes:
+    total = _int(counts["total"], "a facet count")
+    by_rays = {k: _int(x, "a facet count") for k, x in counts["by_rays"].items()}
+    if total != len(facets) or by_rays != sizes:
         return False, "census counts mismatch"
     return True, "census certificate valid"
 

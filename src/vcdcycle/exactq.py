@@ -2,19 +2,17 @@
 
 Every verified quantity in this package is computed here, over Q.  No
 floating point enters any trusted path.  Inside, all elimination runs over
-the integers.  `int_det` and `_gauss_jordan` (behind `solve`, `nullspace`
-and `int_det_adjugate`, on the Bareiss `pivot`) are fraction-free Bareiss
+the integers.  `int_det`, `independent_rows` (behind `int_rank` and every
+rank test) and `_gauss_jordan` (behind `solve`, `nullspace` and
+`int_det_adjugate`, on the Bareiss `pivot`) are fraction-free Bareiss
 eliminations: their divisions are exact and their entries stay minors of
-the input, so coefficient growth is polynomial.  `independent_rows` (behind
-`int_rank`) is a gcd echelon instead, which divides each reduced row by its
-content: that keeps the entries small on our matrices (up to roughly
-20 x 20) but bounds them by no minor.  The kernels take integer rows;
-callers whose data are integer from the start (the sharbly vector lists,
-the cosharbly section rays) pass them as they are.  `fractions.Fraction`
-appears only at the edges: rational input (to `solve`, `nullspace`,
-`int_rows`, `primitive_normalize`) is scaled to primitive integer rows
-first, and results such as solutions and kernel vectors are read off the
-integer tableau as `Fraction(x, p)`.
+the input, so coefficient growth is polynomial.  The kernels take integer
+rows; callers whose data are integer from the start (the sharbly vector
+lists, the cosharbly section rays) pass them as they are.
+`fractions.Fraction` appears only at the edges: rational input (to
+`solve`, `nullspace`, `int_rows`, `primitive_normalize`) is scaled to
+primitive integer rows first, and results such as solutions and kernel
+vectors are read off the integer tableau as `Fraction(x, p)`.
 """
 
 from __future__ import annotations
@@ -130,27 +128,29 @@ def independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
     """Indices of the first `limit` rows, in order, each outside the span of
     the rows before it (fewer when the rows have lower rank).
 
-    One fraction-free echelon pass: a row is reduced, r <- e[c] r - r[c] e
-    (both factors divided by their gcd, the result by its content), by each
-    kept row e at its pivot column c (kept rows are zero at earlier pivots),
-    and is kept when something is left, pivoting on its last nonzero entry
-    (on the rank-5 facet rows that needs a third fewer reductions than the
-    first).
+    One incremental Bareiss pass.  A new row r is reduced by each kept row e
+    in turn, e with pivot column c and pivot p = e[c], as
+    r <- (p r - r[c] e) / prev, prev being the pivot of the kept row before
+    e (1 at the first); when r[c] = 0 that is r <- p r / prev.  Every
+    division is exact (Sylvester's identity): after k steps each entry of r
+    is a (k+1) x (k+1) minor of the input.  The row is kept, pivoting on its
+    last nonzero entry, when something is left.  The picked indices do not
+    depend on the pivot columns.
     """
     picked: list[int] = []
-    echelon: list[tuple[int, Sequence[int]]] = []  # (pivot column, row)
+    echelon: list[tuple[int, int, Sequence[int]]] = []  # (pivot column, pivot, row)
     for i, r in enumerate(rows):
-        r = _row_reduce_content(r)
-        for c, e in echelon:
+        prev = 1
+        for c, p, e in echelon:
             x = r[c]
             if x:
-                p = e[c]
-                g = gcd(p, x)
-                p, x = p // g, x // g
-                r = _row_reduce_content([p * y - x * z for y, z in zip(r, e)])
+                r = [(p * y - x * z) // prev for y, z in zip(r, e)]
+            elif p != prev:
+                r = [p * y // prev for y in r]
+            prev = p
         for c in range(len(r) - 1, -1, -1):
             if r[c]:
-                echelon.append((c, r))
+                echelon.append((c, r[c], r))
                 picked.append(i)
                 break
         if len(picked) == limit:

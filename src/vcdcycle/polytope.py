@@ -103,13 +103,19 @@ class PointConfiguration:
         return _gale_dual(self)
 
     @cached_property
+    def _placed(self) -> tuple[frozenset, int]:
+        return _place(self)
+
+    @cached_property
     def _placing(self) -> frozenset:
         """The placing triangulation in label order."""
-        return placing_triangulation(self)
+        return self._placed[0]
 
     @cached_property
     def _hull_volume(self) -> int:
-        return sum(abs(_simplex_det(self, s)) for s in self._placing)
+        """The hull volume in units of |kappa| (`GaleDual`): the sum of
+        |det K_O| over the simplices of any triangulation."""
+        return self._placed[1]
 
 
 @dataclass(frozen=True)
@@ -235,6 +241,19 @@ def placing_triangulation(
 
     Regular by construction; `is_regular` gives its witness heights.
     """
+    return _place(config, order)[0]
+
+
+def _place(
+    config: PointConfiguration, order: Optional[Sequence[int]] = None
+) -> tuple[Triangulation, int]:
+    """(the placing triangulation, the hull volume in units of |kappa|).
+
+    A simplex coned from face = s - {a} to a point w that sees it has
+    |det K_O| = |c_a| in w's dependence on s (`_simplex_dependences`):
+    (1, p_w) replaces (1, p_a) at the factor -c_a / det, so no simplex
+    needs an elimination of its own for the volume.
+    """
     _require_full_dim(config)
     pts = config._int_points
     m = config.ambient_dim
@@ -247,9 +266,12 @@ def placing_triangulation(
     if len(initial) < m + 1:
         raise DegenerateConfiguration("no full-dimensional initial simplex")
 
-    tri = {frozenset(initial)}
+    first = frozenset(initial)
+    tri = {first}
     used = set(initial)
-    deps: dict[frozenset, dict] = {}  # simplex -> _simplex_dependences
+    adjugate = _simplex_adjugate(config, first)
+    volume = abs(adjugate[2])
+    deps = {first: _dependences(config, adjugate)}  # simplex -> _simplex_dependences
     for i in order:
         if i in used:
             continue
@@ -264,18 +286,12 @@ def placing_triangulation(
             # strictly visible: i across the face from the apex a of s,
             # lambda_a(i) = -dep[a] / det < 0
             det, dep = deps[s][i]
-            if dep[next(iter(s - face))] * det > 0:
+            c = dep[next(iter(s - face))]
+            if c * det > 0:
                 new_simplices.append(face | {i})
+                volume += abs(c)
         tri.update(new_simplices)
-    return frozenset(tri)
-
-
-def hull_volume_scaled(config: PointConfiguration) -> int:
-    """Hull volume times m! in the configuration's integer scale.
-
-    Computed once per configuration instance, from a placing triangulation.
-    """
-    return config._hull_volume
+    return frozenset(tri), volume
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +304,8 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
 
     A nonempty set of distinct full-dimensional simplices on the labels of a
     full-dimensional configuration triangulates its hull exactly when
-    1. the simplex volumes sum to the hull volume;
+    1. the simplex volumes sum to the hull volume (both in units of |kappa|:
+       |det K_O| off each simplex's one adjugate);
     2. every ridge (codimension-1 label set) lies in at most two simplices;
     3. a ridge in two simplices strictly separates their apexes;
     4. no point lies strictly across a ridge in one simplex from its apex,
@@ -308,16 +325,19 @@ def is_valid_triangulation(config: PointConfiguration, triangulation) -> bool:
     m = config.ambient_dim
     labels = set(config.labels)
     volume = 0
+    deps = {}
     for s in tri:
         if len(s) != m + 1 or not s <= labels:
             return False
-        d = _simplex_det(config, s)
-        if d == 0:
+        try:
+            adjugate = _simplex_adjugate(config, s)
+        except DegenerateConfiguration:
             return False
-        volume += abs(d)
-    if volume != hull_volume_scaled(config):
+        volume += abs(adjugate[2])
+        deps[s] = _dependences(config, adjugate)
+    if volume != config._hull_volume:
         return False
-    return _ridge_defect(tri, {s: _simplex_dependences(config, s) for s in tri}) is None
+    return _ridge_defect(tri, deps) is None
 
 
 def _ridge_defect(triangulation, deps: dict) -> Optional[str]:
@@ -370,7 +390,12 @@ def _simplex_dependences(config: PointConfiguration, simplex: Iterable[int]) -> 
     to the simplex alone: c_l = K_l . x.  The affine coordinates of p_w are
     -c_l / det.
     """
-    labels, others, det, adj = _simplex_adjugate(config, simplex)
+    return _dependences(config, _simplex_adjugate(config, simplex))
+
+
+def _dependences(config: PointConfiguration, adjugate: tuple) -> dict:
+    """`_simplex_dependences` read off the simplex's `_simplex_adjugate`."""
+    labels, others, det, adj = adjugate
     rows = config._gale.rows
     return {
         w: (det, {l: sum(map(mul, rows[l], x)) for l in labels})

@@ -40,7 +40,7 @@ def _is_int(x) -> bool:
 def _int_vectors(vectors) -> list[tuple[int, ...]]:
     """A nonempty list of integer lists as tuples; ValueError otherwise."""
     if not isinstance(vectors, list) or not vectors or not all(
-        isinstance(v, list) and all(_is_int(x) for x in v) for v in vectors
+        isinstance(v, list) and all(type(x) is int for x in v) for v in vectors
     ):
         raise ValueError(f"vectors must be a nonempty list of integer lists, got {vectors!r}")
     return [tuple(v) for v in vectors]
@@ -48,7 +48,7 @@ def _int_vectors(vectors) -> list[tuple[int, ...]]:
 
 def _labels(items, what: str) -> tuple[int, ...]:
     """A list of nonnegative integer labels as a tuple; ValueError otherwise."""
-    if not isinstance(items, list) or not all(_is_int(x) and x >= 0 for x in items):
+    if not isinstance(items, list) or not all(type(x) is int and x >= 0 for x in items):
         raise ValueError(f"{what} must be a list of nonnegative integer labels, got {items!r}")
     return tuple(items)
 

@@ -11,12 +11,12 @@ each candidate bijection of a base A (adjugate and determinant computed
 once per search) to images B is kept only when det B = det A, every
 B adj(A) a / det(A) is integral and lands on a distinct target, and
 g = B adj(A) / det(A) is integral.  The sign of g.a = s.b for canonical a
-and b is the parity of that bijection; `act`, which re-canonicalizes g's
-image, is left to the certificate checker.  The same search builds the
-automorphism group of a vector list as a stabilizer chain, one first-hit
-search per transversal element, which gives stabilizer orders, and proves
-a class is not self-negating when no generator reverses its sign, without
-listing the group.  Rationals (`Fraction`) appear only as chain
+and b is the parity of that bijection; the certificate checker re-derives
+it from g's sorted, normalized images (`sort_normalized`).  The same
+search builds the automorphism group of a vector list as a stabilizer
+chain, one first-hit search per transversal element, which gives
+stabilizer orders, and proves a class is not self-negating when no
+generator reverses its sign, without listing the group.  Rationals (`Fraction`) appear only as chain
 coefficients.
 """
 
@@ -63,18 +63,22 @@ def canonicalize(vectors: Sequence[Sequence], n: Optional[int] = None):
     recorded.  The symbol is zero when two normalized vectors coincide or
     when the vectors do not span Q^n.
     """
-    vs = [primitive_normalize(v) for v in vectors]
     if n is None:
-        n = len(vs[0])
+        n = len(vectors[0])
+    sign, vs = sort_normalized(vectors, n)
+    if len(set(vs)) != len(vs) or len(independent_rows(vs, n)) < n:
+        return ZERO
+    return sign, BasicSharbly(n, vs)
+
+
+def sort_normalized(vectors: Sequence[Sequence], n: int) -> tuple[int, tuple[IntVector, ...]]:
+    """(sign, vs): the vectors primitively normalized and sorted, and the
+    sign of that permutation; `canonicalize` before its zero tests."""
+    vs = [primitive_normalize(v) for v in vectors]
     if any(len(v) != n for v in vs):
         raise ValueError("vectors of mixed dimension")
-    if len(set(vs)) != len(vs):
-        return ZERO
-    if len(independent_rows(vs, n)) < n:
-        return ZERO
-    order = sorted(range(len(vs)), key=lambda i: vs[i])
-    sign = _perm_sign(order)
-    return sign, BasicSharbly(n, tuple(vs[i] for i in order))
+    order = sorted(range(len(vs)), key=vs.__getitem__)
+    return _perm_sign(order), tuple(vs[i] for i in order)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -451,12 +455,6 @@ def _close_orbit(orbit: dict, gens) -> None:
             if point not in orbit:
                 orbit[point] = mat_mul_int(g, u)
                 queue.append(point)
-
-
-def act(g: GroupElement, basic: BasicSharbly):
-    """g . basic, canonicalized: ZERO or (sign, BasicSharbly).  The
-    certificate checker's independent re-derivation of a witness's action."""
-    return canonicalize([mat_vec_int(g, v) for v in basic.vectors], basic.n)
 
 
 def equivalent(a: BasicSharbly, b: BasicSharbly) -> Optional[tuple[GroupElement, int]]:

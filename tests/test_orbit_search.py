@@ -10,12 +10,17 @@ from math import gcd
 
 import pytest
 
+from vcdcycle import certs
+from vcdcycle import cycle as cy
+from vcdcycle import data, dd, repro
 from vcdcycle import exactq as eq
+from vcdcycle import polytope as pt
 from vcdcycle import sharbly as sh
 from vcdcycle import voronoi as vr
 from vcdcycle.exactq import int_det, mat_mul_int, mat_vec_int
 
 from test_exactq import cofactor_adjugate
+from test_sharbly import act
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -56,6 +61,31 @@ def _oracle_base(vectors, limit):
             if len(base) == limit:
                 break
     return base
+
+
+def oracle_independent_rows(rows, limit):
+    """The gcd echelon that `exactq.independent_rows` replaced: a row is
+    reduced, r <- e[c] r - r[c] e (both factors divided by their gcd, the
+    result by its content), by each kept row e at its pivot column c, and is
+    kept, pivoting on its last nonzero entry, when something is left."""
+    picked, echelon = [], []  # echelon: (pivot column, row)
+    for i, r in enumerate(rows):
+        r = _content_free(r)
+        for c, e in echelon:
+            x = r[c]
+            if x:
+                p = e[c]
+                g = gcd(p, x)
+                p, x = p // g, x // g
+                r = _content_free([p * y - x * z for y, z in zip(r, e)])
+        for c in range(len(r) - 1, -1, -1):
+            if r[c]:
+                echelon.append((c, r))
+                picked.append(i)
+                break
+        if len(picked) == limit:
+            break
+    return picked
 
 
 def _oracle_complete(sa, sb, b_index, adj_a, det_a, assign_j, assign_s, n):
@@ -130,7 +160,7 @@ def oracle_equivalences(a, b, want_sign=None):
     if a.n != b.n or len(a.vectors) != len(b.vectors):
         return
     for g in oracle_vector_set_maps(a.vectors, b.vectors, a.n):
-        res = sh.act(g, a)
+        res = act(g, a)
         if res is sh.ZERO:
             continue
         sign, c = res
@@ -174,7 +204,7 @@ def _pairs(seed, n, count):
         a = _random_symbol(rng, n)
         kind = rng.random()
         if kind < 0.6:
-            _, b = sh.act(_random_sl(rng, n), a)
+            _, b = act(_random_sl(rng, n), a)
         elif kind < 0.8:
             b = a
         else:
@@ -213,7 +243,7 @@ def test_signs_are_the_action_signs(seed, n):
     for a, b in _pairs(seed, n, 40):
         for g, sign in sh.vector_set_maps(a.vectors, b.vectors, n):
             assert int_det(g) == 1
-            assert sh.act(g, a) == (sign, b)
+            assert act(g, a) == (sign, b)
 
 
 @pytest.mark.parametrize("seed, n", CASES)
@@ -250,34 +280,81 @@ def test_a_list_holding_v_and_minus_v_maps_nowhere():
     assert list(oracle_vector_set_maps(vs, vs, 2)) == []
 
 
+def _random_rows(rng):
+    """Up to 20 x 16, entries up to +-3 or +-1000; rank deficiency forced
+    through combinations of a few rows, and zero rows put in."""
+    n = rng.randint(1, 16 if rng.random() < 0.3 else 5)
+    m = rng.randint(1, 20 if n > 5 else n + 3)
+    bound = rng.choice((3, 3, 1000))
+    vs = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.4:
+        k = rng.randint(1, n - 1) if n > 1 else 1
+        basis = vs[:k]
+        vs = [
+            [sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(n)]
+            for _ in range(m)
+        ]
+    if rng.random() < 0.2:
+        for _ in range(rng.randint(1, 3)):
+            vs.insert(rng.randint(0, len(vs)), [0] * n)
+    return vs, n
+
+
+@pytest.fixture(scope="module")
+def d5_matrices():
+    """The D5 pairing rows, the Gale dual of facet F and the Gale rows of T1."""
+    tile = vr.tile_of(vr.builtin_form("D5"))
+    config = cy.facet_geometry(tile, data.D5_FACET_F).config
+    local = {label: i for i, label in enumerate(sorted(data.D5_FACET_F))}
+    t1 = [frozenset(local[x] for x in s) for s in data.D5_F_TRIANGULATION_1]
+    return [
+        [eq.pairing_row(v) for v in tile.ray_vectors],
+        list(config._gale.rows),
+        pt._gale_rows(config, t1),
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_independent_rows_and_spanning_test_agree_with_int_rank(seed):
+def test_independent_rows_and_spanning_test_agree_with_int_rank(seed, monkeypatch, d5_matrices):
     rng = random.Random(f"spanning/{seed}")
     deficient = 0
     for _ in range(400):
-        n = rng.randint(1, 5)
-        m = rng.randint(1, n + 3)
-        vs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        if rng.random() < 0.4:  # force rank deficiency through a combination
-            k = rng.randint(1, n - 1) if n > 1 else 1
-            basis = vs[:k]
-            vs = [
-                [sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(n)]
-                for _ in range(m)
-            ]
+        vs, n = _random_rows(rng)
         base = eq.independent_rows(vs, n)
         rank = oracle_rank(vs)
         assert eq.int_rank(vs) == rank
         assert len(base) == min(rank, n)
-        assert base == _oracle_base(vs, n)
-        limit = rng.randint(1, n)
-        assert eq.independent_rows(vs, limit) == _oracle_base(vs, limit)
+        assert base == _oracle_base(vs, n) == oracle_independent_rows(vs, n)
+        for limit in {rng.randint(1, n), rng.randint(1, max(rank, 1))}:
+            assert eq.independent_rows(vs, limit) == _oracle_base(vs, limit)
+            assert eq.independent_rows(vs, limit) == oracle_independent_rows(vs, limit)
         deficient += rank < n
         nonzero = [v for v in vs if any(v)]
         if nonzero and len({eq.primitive_normalize(v) for v in nonzero}) == len(nonzero):
             spans = sh.canonicalize(nonzero, n) is not sh.ZERO
             assert spans == (oracle_rank(nonzero) == n)
     assert deficient >= 100
+
+    for rows in d5_matrices:
+        for limit in range(1, len(rows[0]) + 1):
+            assert eq.independent_rows(rows, limit) == oracle_independent_rows(rows, limit)
+
+    # every rank test of criterion 7 on this seed, recorded
+    calls = []
+    kernel = eq.independent_rows
+
+    def recorded(rows, limit):
+        calls.append(([list(r) for r in rows], limit))
+        return kernel(rows, limit)
+
+    for module in (eq, sh, pt, certs, dd):
+        if hasattr(module, "independent_rows"):
+            monkeypatch.setattr(module, "independent_rows", recorded)
+    assert repro.criterion_7(seed)["ok"]
+    monkeypatch.undo()
+    assert len(calls) > 6000
+    for rows, limit in calls:
+        assert kernel(rows, limit) == oracle_independent_rows(rows, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +442,7 @@ def _check_group(vectors, n, group):
     assert group.elements() == enumerated
     _, a = sh.canonicalize(vectors, n)
     for g, sign in group.generators:
-        assert int_det(g) == 1 and sh.act(g, a) == (sign, a)
+        assert int_det(g) == 1 and act(g, a) == (sign, a)
 
 
 @pytest.mark.parametrize("name, order", [("A2", 6), ("A3", 24), ("A4", 120), ("D4", 576),

@@ -16,6 +16,12 @@ from vcdcycle.exactq import (
 from vcdcycle.sharbly import AntisymSum, _perm_sign
 
 
+def hull_volume_scaled(config):
+    """Hull volume times m! in the configuration's integer scale: the cached
+    volume in units of |kappa| (the placing's sum of |det K_O|) times |kappa|."""
+    return abs(config._gale.kappa) * config._hull_volume
+
+
 def lift_triangulation(config, heights):
     """Lower-hull triangulation induced by generic heights: the oracle for
     `is_regular`'s witnesses."""
@@ -40,7 +46,7 @@ def lift_triangulation(config, heights):
             raise pt.DegenerateConfiguration("heights are not generic")
         tri.add(frozenset(tight))
     result = frozenset(tri)
-    if sum(abs(pt._simplex_det(config, s)) for s in result) != pt.hull_volume_scaled(config):
+    if sum(abs(pt._simplex_det(config, s)) for s in result) != hull_volume_scaled(config):
         raise pt.DegenerateConfiguration("heights are not generic")
     return result
 
@@ -277,7 +283,7 @@ def test_pyramid_identity_formal_shape():
 
 def test_volume_additivity_across_triangulations():
     cfg = square()
-    total = pt.hull_volume_scaled(cfg)
+    total = hull_volume_scaled(cfg)
     for tri in (DIAG_02, DIAG_13):
         assert sum(
             abs(pt._simplex_det(cfg, s)) for s in tri

@@ -19,7 +19,7 @@ from vcdcycle import polytope as pt
 from vcdcycle import serialize as ser
 from vcdcycle.exactq import q_parse
 
-from test_polytope import _random_configs
+from test_polytope import _random_configs, hull_volume_scaled
 
 D5_FACET = ",".join(map(str, data.D5_FACET_F))
 
@@ -41,7 +41,7 @@ def oracle_check(payload) -> bool:
         for w, (det, dep) in pt._simplex_dependences(config, s).items():
             if (det * heights[w] + sum(c * heights[l] for l, c in dep.items())) * det <= 0:
                 return False
-    return total == pt.hull_volume_scaled(config)
+    return total == hull_volume_scaled(config)
 
 
 def _placed(config, order):

@@ -13,7 +13,7 @@ from vcdcycle.dd import cone_facets
 from vcdcycle.exactq import int_rank
 
 from test_gale_dual import oracle_side
-from test_polytope import dd_hull_facets, oracle_circuit_of
+from test_polytope import dd_hull_facets, hull_volume_scaled, oracle_circuit_of
 
 
 def _proper_pair_lp(config, s1, s2) -> bool:
@@ -123,7 +123,7 @@ def test_agrees_with_pairwise_lp_oracle(seed, m):
             continue
         configs += 1
         hull = lifted_hull_volume(config)
-        assert pt.hull_volume_scaled(config) == hull
+        assert hull_volume_scaled(config) == hull
         for tri in _candidates(rng, config, hull):
             expected = oracle_is_valid(config, tri, hull)
             assert pt.is_valid_triangulation(config, tri) == expected, (config.points, tri)
@@ -239,7 +239,7 @@ def test_t_junction_point_lies_on_the_cut():
 def test_hull_is_cached_per_instance():
     points = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
     first = pt.PointConfiguration.from_points(points)
-    assert pt.hull_volume_scaled(first) == 8
+    assert hull_volume_scaled(first) == 8
     assert pt.is_valid_triangulation(first, _tri((0, 1, 2), (0, 2, 3)))
     second = pt.PointConfiguration.from_points(points)
     assert second == first
@@ -254,3 +254,36 @@ def test_integer_points_are_cached_per_instance():
     assert first._int_points is vars(first)["_int_points"]
     second = pt.PointConfiguration.from_points(points)
     assert second == first and "_int_points" not in vars(second)
+
+
+def test_validity_reads_each_volume_off_the_one_adjugate_per_simplex(monkeypatch):
+    """No `int_det` beside the adjugates: is_valid_triangulation takes one
+    adjugate per simplex, and the hull volume (in units of |kappa|) comes
+    from the placing's dependences with no elimination of its own."""
+    config = pt.PointConfiguration.from_points(
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    )
+    assert config._gale.kappa  # the Gale dual is taken before counting
+    adjugates = []
+    adjugate = pt.int_det_adjugate
+
+    def counting(a):
+        adjugates.append(a)
+        return adjugate(a)
+
+    def refuse(rows):
+        raise AssertionError("int_det called")
+
+    monkeypatch.setattr(pt, "int_det_adjugate", counting)
+    monkeypatch.setattr(pt, "int_det", refuse)
+    placing = config._placing
+    assert len(adjugates) <= len(placing)
+    del adjugates[:]
+    even = _five_tetrahedra((0, 3, 5, 6))
+    assert pt.is_valid_triangulation(config, even)
+    assert not pt.is_valid_triangulation(config, even | _five_tetrahedra((1, 2, 4, 7)))
+    assert len(adjugates) == 5 + 10
+    monkeypatch.undo()
+    assert config._hull_volume == sum(abs(pt._simplex_det(config, s)) for s in placing) / abs(
+        config._gale.kappa)
+    assert config._hull_volume == sum(abs(pt._simplex_adjugate(config, s)[2]) for s in even)
