@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import certs, cycle as cy, data, polytope as pt, repro, serialize as ser, voronoi as vr
 from .cosharbly import mu_sign_certificate
@@ -28,9 +29,44 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _json_text(obj, indent: str) -> str:
+    """One value as `json.dump(obj, fh, indent=1, sort_keys=True)` writes it
+    at nesting depth len(indent)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        sep = ",\n" + inner
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be str")
+        inner = indent + " "
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+        sep = ",\n" + inner
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    return json.dumps(obj)
+
+
 def _write_json(path, doc) -> None:
+    """Write the bytes of `json.dump(doc, fh, indent=1, sort_keys=True)`
+    followed by a newline, built in one pass and written at once.
+
+    With `indent` set, the stdlib falls back to its pure-Python encoder and
+    writes every token separately.  Every key must be a str (TypeError
+    otherwise); json's coercion of other key types is not reproduced.
+    """
+    text = _json_text(doc, "")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -12,7 +12,10 @@ lists, the cosharbly section rays) pass them as they are.
 `fractions.Fraction` appears only at the edges: rational input (to
 `solve`, `nullspace`, `int_rows`, `primitive_normalize`) is scaled to
 primitive integer rows first, and results such as solutions and kernel
-vectors are read off the integer tableau as `Fraction(x, p)`.
+vectors are read off the integer tableau as `Fraction(x, p)`.  The same
+holds for forms: `voronoi.minimal_vectors` scales a rational Gram matrix to
+an integer one, enumerates on its Bareiss minors, and returns only the
+minimum as a `Fraction`.
 """
 
 from __future__ import annotations

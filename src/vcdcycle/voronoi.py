@@ -2,16 +2,17 @@
 
 A perfect form is pinned down by its minimal vectors; the associated tile
 is the cone spanned by the rank-1 forms of those vectors.  This module
-reconstructs forms from vector data, enumerates minimal vectors exactly,
-computes tile facets through the double description machinery, and finds
-tile stabilizers inside SL_n(Z) as stabilizer chains.  The built-in
-datasets cover ranks 2 through 5.
+reconstructs forms from vector data, enumerates minimal vectors exactly
+(an integer Fincke-Pohst enumeration on the Bareiss minors of the scaled
+Gram matrix), computes tile facets through the double description
+machinery, and finds tile stabilizers inside SL_n(Z) as stabilizer chains.
+The built-in datasets cover ranks 2 through 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, isqrt
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import data
@@ -74,71 +75,66 @@ def normalize_to_section(v_prime: Sequence, n: int) -> tuple[Q, ...]:
 
 
 # ---------------------------------------------------------------------------
-# minimal vectors (exact ellipsoid enumeration)
-
-
-def _ldl(gram: Sequence[Sequence[Q]]):
-    """LDL^t decomposition; raises unless positive definite."""
-    n = len(gram)
-    d = [Q(0)] * n
-    u = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        s = as_q(gram[i][i]) - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if s <= 0:
-            raise ValueError("form is not positive definite")
-        d[i] = s
-        u[i][i] = Q(1)
-        for j in range(i + 1, n):
-            t = as_q(gram[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
-            u[i][j] = t / d[i]
-    return d, u
-
-
-def _sqrt_floor(x: Q) -> int:
-    if x < 0:
-        return -1
-    return isqrt(x.numerator * x.denominator) // x.denominator
+# minimal vectors (integer Fincke-Pohst enumeration)
 
 
 def minimal_vectors(gram) -> tuple[Q, tuple[IntVector, ...]]:
     """Exact minimum of the form over nonzero integer vectors, with all
-    attaining vectors up to sign."""
+    attaining vectors up to sign (sorted, primitive, sign-normalized).
+
+    Fincke-Pohst enumeration (Fincke & Pohst, Math. Comp. 44, 1985) on
+    integers only.  The Gram matrix is scaled by the lcm l of its
+    denominators to an integer A.  One Bareiss pass over A gives the leading
+    minors D_1..D_n (D_0 = 1), all positive exactly when A is positive
+    definite, and the integer rows b_k with b_kk = D_{k+1}; then
+    A(x) = sum_k t_k^2 / (D_k D_{k+1}) with t_k = sum_{j>=k} b_kj x_j.
+    Scaled by M = lcm_k(D_k D_{k+1}) this is sum_k w_k t_k^2 with integer
+    weights w_k, so the coordinates are enumerated from the top against the
+    integer bound M * min_i A_ii with exact bounds |t_i| <= isqrt(R // w_i).
+    The minimum is returned as Fraction(min, l * M).
+    """
     rows = [[as_q(x) for x in r] for r in gram]
     n = len(rows)
-    d, u = _ldl(rows)
-    bound = min(rows[i][i] for i in range(n))
-    found: list[tuple[Q, IntVector]] = []
-
+    l = lcm(*(x.denominator for r in rows for x in r))
+    a = [[x.numerator * (l // x.denominator) for x in r] for r in rows]
+    diagonal = min(a[k][k] for k in range(n))
+    minors = [1]  # D_0, D_1, ..., D_n; row k of `a` ends as b_k
+    for k in range(n):
+        krow, p = a[k], a[k][k]
+        if p <= 0:
+            raise ValueError("form is not positive definite")
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            a[i] = [0] * (k + 1) + [
+                (row[j] * p - f * krow[j]) // minors[k] for j in range(k + 1, n)
+            ]
+        minors.append(p)
+    dens = [minors[k] * minors[k + 1] for k in range(n)]
+    m = lcm(*dens)
+    w = [m // d for d in dens]
+    bound = m * diagonal
+    found: list[tuple[int, IntVector]] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Q) -> None:
-        # Q(x) = sum_k d_k (x_k + sum_{j>k} u_kj x_j)^2, filled from the top
-        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        s = _sqrt_floor(remaining / d[i])
-        xmin = floor(-c) - s - 1
-        xmax = ceil(-c) + s + 1
-        for xi in range(xmin, xmax + 1):
-            term = d[i] * (xi + c) ** 2
-            if term > remaining:
-                continue
+    def descend(i: int, remaining: int) -> None:
+        bi, d, wi = a[i], minors[i + 1], w[i]
+        s = sum(bi[j] * x[j] for j in range(i + 1, n))
+        r = isqrt(remaining // wi)
+        for xi in range(-((r + s) // d), (r - s) // d + 1):
+            t = d * xi + s
+            rest = remaining - wi * t * t
             x[i] = xi
             if i == 0:
                 if any(x):
-                    value = bound - (remaining - term)
-                    found.append((value, tuple(x)))
+                    found.append((bound - rest, tuple(x)))
             else:
-                descend(i - 1, remaining - term)
+                descend(i - 1, rest)
         x[i] = 0
 
     descend(n - 1, bound)
-    if not found:
-        raise AssertionError("no nonzero vector within the diagonal bound")
     mv = min(v for v, _ in found)
-    attain = set()
-    for v, vec in found:
-        if v == mv:
-            attain.add(primitive_normalize(vec))
-    return mv, tuple(sorted(attain))
+    attain = {primitive_normalize(vec) for v, vec in found if v == mv}
+    return Q(mv, l * m), tuple(sorted(attain))
 
 
 def form_from_minvecs(vectors: Iterable[Sequence[int]], name: str = "") -> PerfectForm:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import ceil, floor, isqrt
 
 import pytest
 
@@ -15,6 +16,75 @@ from vcdcycle.exactq import (
     primitive_normalize,
     rank1_vec,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Fraction LDL^t and Fincke-Pohst enumeration that
+# `vr.minimal_vectors` replaced with an integer one
+
+
+def _ldl(gram):
+    """LDL^t decomposition; raises unless positive definite."""
+    n = len(gram)
+    d = [F(0)] * n
+    u = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        s = F(gram[i][i]) - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
+        if s <= 0:
+            raise ValueError("form is not positive definite")
+        d[i] = s
+        u[i][i] = F(1)
+        for j in range(i + 1, n):
+            t = F(gram[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
+            u[i][j] = t / d[i]
+    return d, u
+
+
+def _sqrt_floor(x):
+    if x < 0:
+        return -1
+    return isqrt(x.numerator * x.denominator) // x.denominator
+
+
+def oracle_minimal_vectors(gram):
+    rows = [[F(x) for x in r] for r in gram]
+    n = len(rows)
+    d, u = _ldl(rows)
+    bound = min(rows[i][i] for i in range(n))
+    found = []
+    x = [0] * n
+
+    def descend(i, remaining):
+        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        s = _sqrt_floor(remaining / d[i])
+        for xi in range(floor(-c) - s - 1, ceil(-c) + s + 2):
+            term = d[i] * (xi + c) ** 2
+            if term > remaining:
+                continue
+            x[i] = xi
+            if i == 0:
+                if any(x):
+                    found.append((bound - (remaining - term), tuple(x)))
+            else:
+                descend(i - 1, remaining - term)
+        x[i] = 0
+
+    descend(n - 1, bound)
+    mv = min(v for v, _ in found)
+    return mv, tuple(sorted({primitive_normalize(vec) for v, vec in found if v == mv}))
+
+
+def _random_definite_gram(rng, n):
+    """M^t M plus a positive rational diagonal, M rational."""
+    m = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+    return [
+        [
+            sum(m[k][i] * m[k][j] for k in range(n))
+            + (F(1, rng.randint(1, 4)) if i == j else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def test_normalize_to_section():
@@ -54,9 +124,49 @@ def test_minimal_vectors_a3():
     assert set(vs) == {primitive_normalize(v) for v in data.A3_VECTORS}
 
 
-def test_minimal_vectors_requires_positive_definite():
-    with pytest.raises(ValueError):
-        vr.minimal_vectors([[1, 0], [0, -1]])
+@pytest.mark.parametrize("name", [name for forms in data.FORMS.values() for name, _ in forms])
+def test_minimal_vectors_match_the_fraction_oracle_on_builtin_forms(name):
+    gram = vr.builtin_form(name).gram
+    assert vr.minimal_vectors(gram) == oracle_minimal_vectors(gram)
+
+
+def test_minimal_vectors_match_the_fraction_oracle_on_random_forms():
+    rng = random.Random(22)
+    ranks = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        ranks.add(n)
+        gram = _random_definite_gram(rng, n)
+        assert vr.minimal_vectors(gram) == oracle_minimal_vectors(gram), gram
+    assert ranks == {1, 2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("c", [2, 3, 7, 60])
+def test_minimal_vectors_scale_with_the_form(c):
+    rng = random.Random(c)
+    grams = [vr.builtin_form("D5").gram, vr.builtin_form("A4").gram]
+    grams += [_random_definite_gram(rng, rng.randint(2, 5)) for _ in range(5)]
+    for gram in grams:
+        scaled = [[c * x for x in r] for r in gram]
+        mv, vs = vr.minimal_vectors(gram)
+        assert vr.minimal_vectors(scaled) == oracle_minimal_vectors(scaled) == (c * mv, vs)
+
+
+@pytest.mark.parametrize("gram", [
+    [[1, 0], [0, -1]],  # indefinite
+    [[1, 2], [2, 1]],  # indefinite, positive diagonal
+    [[-1]],
+    [[0]],  # semidefinite
+    [[1, 1], [1, 1]],  # semidefinite
+    [[2, 1, 3], [1, 2, 3], [3, 3, 6]],  # semidefinite, first minors positive
+    [[F(1, 2), F(1, 3)], [F(1, 3), F(2, 9)]],  # semidefinite, rational
+])
+def test_minimal_vectors_reject_forms_that_are_not_definite(gram):
+    message = "^form is not positive definite$"
+    with pytest.raises(ValueError, match=message):
+        oracle_minimal_vectors(gram)
+    with pytest.raises(ValueError, match=message):
+        vr.minimal_vectors(gram)
 
 
 def test_form_from_minvecs_a2():
